@@ -2,8 +2,9 @@
 //   (a) which bound side matters — quadratic lower only, quadratic upper
 //       only, or both (hybrids of QUAD and KARL);
 //   (b) kd-tree leaf size;
-//   (c) the trivial-bound safety clamp.
-// Reported as εKDV frame time on the home analogue, ε = 0.01.
+//   (c) the trivial-bound safety clamp;
+//   (d) τKDV granularity: per-pixel vs tile-shared certification.
+// Reported as εKDV frame time (τKDV for (d)) on the home analogue, ε = 0.01.
 #include <cstdio>
 #include <memory>
 
@@ -42,7 +43,7 @@ class HybridBounds final : public NodeBounds {
 double TimeFrame(const kdv::KdeEvaluator& evaluator,
                  const kdv::PixelGrid& grid) {
   kdv::BatchStats stats;
-  kdv::RenderEpsFrame(evaluator, grid, 0.01, &stats);
+  kdv::RenderEpsFrameParallel(evaluator, grid, 0.01, {}, nullptr, {}, &stats);
   return stats.seconds;
 }
 
@@ -99,7 +100,7 @@ int main() {
     }
   }
 
-  // (d) τKDV granularity: per-pixel vs block-level certification.
+  // (d) τKDV granularity: per-pixel vs tile-shared certification.
   {
     Workbench bench(PointSet(points), KernelType::kGaussian);
     PixelGrid grid = kdv_bench::MakeGrid(bench.data_bounds());
@@ -107,15 +108,19 @@ int main() {
     MeanStd density = EstimateDensityStats(quad, grid, /*stride=*/8);
 
     std::printf("\n(d) τKDV granularity (QUAD, tau=mu)\n");
-    std::printf("%-18s %10s %16s\n", "mode", "time(s)", "pixel evals");
-    BatchStats per_pixel;
-    RenderTauFrame(quad, grid, density.mean, &per_pixel);
-    std::printf("%-18s %10.3f %16llu\n", "per-pixel", per_pixel.seconds,
-                static_cast<unsigned long long>(per_pixel.queries));
-    BlockTauStats blocked;
-    RenderTauFrameBlocked(quad, grid, density.mean, &blocked);
-    std::printf("%-18s %10.3f %16llu\n", "block-certified", blocked.seconds,
-                static_cast<unsigned long long>(blocked.pixel_evaluations));
+    std::printf("%-18s %10s %16s %14s\n", "mode", "time(s)",
+                "pixel node evals", "chunks decided");
+    for (bool tile_shared : {false, true}) {
+      RenderOptions options;
+      options.tile_shared = tile_shared;
+      BatchStats stats;
+      RenderTauFrameParallel(quad, grid, density.mean, options, nullptr, {},
+                             &stats);
+      std::printf("%-18s %10.3f %16llu %14llu\n",
+                  tile_shared ? "tile-shared" : "per-pixel", stats.seconds,
+                  static_cast<unsigned long long>(stats.nodes_visited),
+                  static_cast<unsigned long long>(stats.tiles_decided));
+    }
   }
 
   // (c) Safety clamp on/off.

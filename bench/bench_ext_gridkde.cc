@@ -19,7 +19,8 @@ int main() {
     PixelGrid grid = kdv_bench::MakeGrid(bench.data_bounds());
 
     KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
-    DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+    DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                  nullptr);
     const double floor = 1e-4 * ComputeMeanStd(truth.values).mean;
 
     std::printf("\n(%s, n=%zu)\n", spec.name.c_str(), bench.num_points());
@@ -44,7 +45,8 @@ int main() {
 
     KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
     BatchStats stats;
-    DensityFrame frame = RenderEpsFrame(quad, grid, 0.01, &stats);
+    DensityFrame frame = RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr,
+                                                {}, &stats);
     std::printf("%-18s %10.3f %14.4g %14.4g %12s\n", "QUAD eps=0.01",
                 stats.seconds,
                 AverageRelativeError(frame.values, truth.values, floor),

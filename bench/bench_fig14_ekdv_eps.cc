@@ -28,7 +28,7 @@ int main() {
       for (int i = 0; i < 3; ++i) {
         KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
         BatchStats stats;
-        RenderEpsFrame(evaluator, grid, eps, &stats);
+        RenderEpsFrameParallel(evaluator, grid, eps, {}, nullptr, {}, &stats);
         secs[i] = stats.seconds;
         if (csv != nullptr) {
           std::fprintf(csv, "%s,%g,%s,%.6f\n", spec.name.c_str(), eps,
@@ -38,7 +38,7 @@ int main() {
       {
         KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
         BatchStats stats;
-        RenderEpsFrame(zorder, grid, eps, &stats);
+        RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr, {}, &stats);
         secs[3] = stats.seconds;
         if (csv != nullptr) {
           std::fprintf(csv, "%s,%g,Z-order,%.6f\n", spec.name.c_str(), eps,

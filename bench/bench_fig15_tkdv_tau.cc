@@ -33,7 +33,8 @@ int main() {
       for (int i = 0; i < 3; ++i) {
         KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
         BatchStats bstats;
-        RenderTauFrame(evaluator, grid, taus[t], &bstats);
+        RenderTauFrameParallel(evaluator, grid, taus[t], {}, nullptr, {},
+                               &bstats);
         secs[i] = bstats.seconds;
         if (csv != nullptr) {
           std::fprintf(csv, "%s,%.1f,%s,%.6f\n", spec.name.c_str(), ks[t],

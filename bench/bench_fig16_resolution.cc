@@ -33,7 +33,7 @@ int main() {
       for (int i = 0; i < 3; ++i) {
         KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
         BatchStats stats;
-        RenderEpsFrame(evaluator, grid, eps, &stats);
+        RenderEpsFrameParallel(evaluator, grid, eps, {}, nullptr, {}, &stats);
         secs[i] = stats.seconds;
         if (csv != nullptr) {
           std::fprintf(csv, "%s,%d,%s,%.6f\n", spec.name.c_str(), w,
@@ -43,7 +43,7 @@ int main() {
       {
         KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
         BatchStats stats;
-        RenderEpsFrame(zorder, grid, eps, &stats);
+        RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr, {}, &stats);
         secs[3] = stats.seconds;
         if (csv != nullptr) {
           std::fprintf(csv, "%s,%d,Z-order,%.6f\n", spec.name.c_str(), w,

@@ -35,7 +35,7 @@ int main() {
     for (int i = 0; i < 3; ++i) {
       KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
       BatchStats stats;
-      RenderEpsFrame(evaluator, grid, eps, &stats);
+      RenderEpsFrameParallel(evaluator, grid, eps, {}, nullptr, {}, &stats);
       secs[i] = stats.seconds;
       if (csv != nullptr) {
         std::fprintf(csv, "eps,%zu,%s,%.6f\n", n, MethodName(methods[i]),
@@ -45,7 +45,7 @@ int main() {
     {
       KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
       BatchStats stats;
-      RenderEpsFrame(zorder, grid, eps, &stats);
+      RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr, {}, &stats);
       secs[3] = stats.seconds;
       if (csv != nullptr) {
         std::fprintf(csv, "eps,%zu,Z-order,%.6f\n", n, stats.seconds);
@@ -71,7 +71,7 @@ int main() {
     for (int i = 0; i < 3; ++i) {
       KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
       BatchStats stats;
-      RenderTauFrame(evaluator, grid, tau, &stats);
+      RenderTauFrameParallel(evaluator, grid, tau, {}, nullptr, {}, &stats);
       secs[i] = stats.seconds;
       if (csv != nullptr) {
         std::fprintf(csv, "tau,%zu,%s,%.6f\n", n, MethodName(methods[i]),

@@ -21,7 +21,8 @@ int main() {
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   BatchStats exact_stats;
-  DensityFrame truth = RenderExactFrame(exact, grid, &exact_stats);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                &exact_stats);
   RenderHeatMap(truth).WritePpm("fig19_exact.ppm");
   std::printf("%-10s %10s %14s %14s   %s\n", "method", "time(s)",
               "avg rel err", "max rel err", "image");
@@ -33,7 +34,8 @@ int main() {
   for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
     KdeEvaluator evaluator = bench.MakeEvaluator(method);
     BatchStats stats;
-    DensityFrame frame = RenderEpsFrame(evaluator, grid, eps, &stats);
+    DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, eps, {},
+                                                nullptr, {}, &stats);
     std::string path =
         std::string("fig19_") + MethodName(method) + ".ppm";
     RenderHeatMap(frame).WritePpm(path);
@@ -46,7 +48,8 @@ int main() {
   {
     KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
     BatchStats stats;
-    DensityFrame frame = RenderEpsFrame(zorder, grid, eps, &stats);
+    DensityFrame frame = RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr,
+                                                {}, &stats);
     RenderHeatMap(frame).WritePpm("fig19_zorder.ppm");
     std::printf("%-10s %10.3f %14.6g %14.6g   %s\n", "Z-order", stats.seconds,
                 AverageRelativeError(frame.values, truth.values, floor),

@@ -28,7 +28,8 @@ int main() {
 
     // Reference frame: tightly certified εKDV (ε = 0.001) with QUAD.
     KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
-    DensityFrame truth = RenderEpsFrame(quad, grid, 0.001, nullptr);
+    DensityFrame truth = RenderEpsFrameParallel(quad, grid, 0.001, {}, nullptr,
+                                                {}, nullptr);
     const double floor = 1e-6 * ComputeMeanStd(truth.values).mean;
 
     std::printf("\n(%s, n=%zu)\n", spec.name.c_str(), bench.num_points());

@@ -17,7 +17,8 @@ int main() {
   PixelGrid grid = kdv_bench::MakeGrid(bench.data_bounds());
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
 
-  DensityFrame truth = RenderEpsFrame(quad, grid, 0.001, nullptr);
+  DensityFrame truth = RenderEpsFrameParallel(quad, grid, 0.001, {}, nullptr,
+                                              {}, nullptr);
   const double floor = 1e-6 * ComputeMeanStd(truth.values).mean;
 
   const std::vector<double> budgets = {0.005, 0.02, 0.05, 0.2, 0.5};

@@ -37,19 +37,19 @@ int main() {
         {
           KdeEvaluator akde = bench.MakeEvaluator(Method::kAkde);
           BatchStats stats;
-          RenderEpsFrame(akde, grid, eps, &stats);
+          RenderEpsFrameParallel(akde, grid, eps, {}, nullptr, {}, &stats);
           secs[0] = stats.seconds;
         }
         {
           KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
           BatchStats stats;
-          RenderEpsFrame(quad, grid, eps, &stats);
+          RenderEpsFrameParallel(quad, grid, eps, {}, nullptr, {}, &stats);
           secs[1] = stats.seconds;
         }
         {
           KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
           BatchStats stats;
-          RenderEpsFrame(zorder, grid, eps, &stats);
+          RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr, {}, &stats);
           secs[2] = stats.seconds;
         }
         std::printf("%-8.2f %10.3f %10.3f %10.3f\n", eps, secs[0], secs[1],

@@ -40,12 +40,12 @@ int main() {
         {
           KdeEvaluator tkdc = bench.MakeEvaluator(Method::kTkdc);
           BatchStats bstats;
-          RenderTauFrame(tkdc, grid, tau, &bstats);
+          RenderTauFrameParallel(tkdc, grid, tau, {}, nullptr, {}, &bstats);
           secs[0] = bstats.seconds;
         }
         {
           BatchStats bstats;
-          RenderTauFrame(quad, grid, tau, &bstats);
+          RenderTauFrameParallel(quad, grid, tau, {}, nullptr, {}, &bstats);
           secs[1] = bstats.seconds;
         }
         std::printf("mu%+.1fsigma   %10.3f %10.3f\n", k, secs[0], secs[1]);

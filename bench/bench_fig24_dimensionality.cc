@@ -69,16 +69,16 @@ int main() {
       double qps[4];
       {
         KdeEvaluator scan = bench.MakeEvaluator(Method::kExact);
-        BatchStats stats;
-        RunExactBatch(scan, queries, &stats);
-        qps[0] = stats.queries / std::max(stats.seconds, 1e-9);
+        Timer timer;
+        for (const Point& q : queries) scan.EvaluateExact(q);
+        qps[0] = queries.size() / std::max(timer.ElapsedSeconds(), 1e-9);
       }
       const Method methods[] = {Method::kAkde, Method::kKarl, Method::kQuad};
       for (int i = 0; i < 3; ++i) {
         KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
-        BatchStats stats;
-        RunEpsBatch(evaluator, queries, eps, &stats);
-        qps[i + 1] = stats.queries / std::max(stats.seconds, 1e-9);
+        Timer timer;
+        for (const Point& q : queries) evaluator.EvaluateEps(q, eps);
+        qps[i + 1] = queries.size() / std::max(timer.ElapsedSeconds(), 1e-9);
       }
       std::printf("%-6d %12.1f %12.1f %12.1f %12.1f\n", d, qps[0], qps[1],
                   qps[2], qps[3]);

@@ -33,19 +33,19 @@ int main() {
       {
         KdeEvaluator akde = bench.MakeEvaluator(Method::kAkde);
         BatchStats stats;
-        RenderEpsFrame(akde, grid, eps, &stats);
+        RenderEpsFrameParallel(akde, grid, eps, {}, nullptr, {}, &stats);
         secs[0] = stats.seconds;
       }
       {
         KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
         BatchStats stats;
-        RenderEpsFrame(quad, grid, eps, &stats);
+        RenderEpsFrameParallel(quad, grid, eps, {}, nullptr, {}, &stats);
         secs[1] = stats.seconds;
       }
       {
         KdeEvaluator zorder = bench.MakeZorderEvaluator(eps);
         BatchStats stats;
-        RenderEpsFrame(zorder, grid, eps, &stats);
+        RenderEpsFrameParallel(zorder, grid, eps, {}, nullptr, {}, &stats);
         secs[2] = stats.seconds;
       }
       std::printf("%-8.2f %10.3f %10.3f %10.3f\n", eps, secs[0], secs[1],
@@ -71,12 +71,12 @@ int main() {
       {
         KdeEvaluator tkdc = bench.MakeEvaluator(Method::kTkdc);
         BatchStats bstats;
-        RenderTauFrame(tkdc, grid, tau, &bstats);
+        RenderTauFrameParallel(tkdc, grid, tau, {}, nullptr, {}, &bstats);
         secs[0] = bstats.seconds;
       }
       {
         BatchStats bstats;
-        RenderTauFrame(quad, grid, tau, &bstats);
+        RenderTauFrameParallel(quad, grid, tau, {}, nullptr, {}, &bstats);
         secs[1] = bstats.seconds;
       }
       std::printf("mu%+.1fsigma   %10.3f %10.3f\n", k, secs[0], secs[1]);

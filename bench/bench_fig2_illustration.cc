@@ -18,18 +18,21 @@ int main() {
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   BatchStats exact_stats;
-  DensityFrame truth = RenderExactFrame(exact, grid, &exact_stats);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                &exact_stats);
   RenderHeatMap(truth).WritePpm("fig2a_exact.ppm");
 
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
   BatchStats eps_stats;
-  DensityFrame approx = RenderEpsFrame(quad, grid, 0.01, &eps_stats);
+  DensityFrame approx = RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr,
+                                               {}, &eps_stats);
   RenderHeatMap(approx).WritePpm("fig2b_ekdv.ppm");
 
   MeanStd stats = ComputeMeanStd(truth.values);
   double tau = stats.mean + 0.1 * stats.stddev;
   BatchStats tau_stats;
-  BinaryFrame mask = RenderTauFrame(quad, grid, tau, &tau_stats);
+  BinaryFrame mask = RenderTauFrameParallel(quad, grid, tau, {}, nullptr, {},
+                                            &tau_stats);
   RenderThresholdMap(mask).WritePpm("fig2c_tkdv.ppm");
 
   double max_err = MaxRelativeError(approx.values, truth.values,

@@ -1,13 +1,15 @@
-// Intra-frame parallel rendering throughput: serial renderers vs the tiled
-// parallel renderers (viz/parallel_render.h) swept over frame thread counts
-// and over the shared-traversal tile refiner (--tile-shared analogue), plus
-// the AoS-vs-SoA leaf-kernel microbenchmark that underpins the EXACT method.
-// Prints pixels/sec tables and writes BENCH_frame.json for machine
-// consumption — CI's perf smoke parses it.
+// Intra-frame rendering throughput of the frame engine
+// (viz/parallel_render.h): the `serial` row is the engine at one thread with
+// no pool, swept against more frame threads and against the shared-traversal
+// tile refiner (--tile-shared analogue), plus the AoS-vs-SoA leaf-kernel
+// microbenchmark that underpins the EXACT method. Prints pixels/sec tables
+// and writes BENCH_frame.json for machine consumption — CI's perf smoke
+// parses it.
 //
-// The benchmark doubles as an exactness check: every per-pixel parallel
-// frame is compared bitwise against the serial baseline, every SoA leaf sum
-// against its AoS oracle, and every tile-shared frame against the
+// The benchmark doubles as an exactness check: every per-pixel engine frame
+// is compared bitwise against per-pixel evaluation (one fresh-stream
+// EvaluateEps / EvaluateTau call per pixel), every SoA leaf sum against its
+// AoS oracle, and every tile-shared frame against the
 // EvaluateExact oracle on a pixel sample (the tile-shared path returns
 // different — but still certified — estimates, so the check is the ε
 // certificate itself, not bit equality). Any violation fails the run with a
@@ -82,12 +84,12 @@ struct FrameTiming {
   uint64_t tau_nodes_visited = 0;
   uint64_t tile_nodes_visited = 0;  // region bound evaluations (tile pass)
   uint64_t tiles_decided = 0;
-  bool identical = true;  // parallel output matched the serial baseline
+  bool identical = true;  // engine output matched the per-pixel reference
   bool certified = true;  // tile-shared output satisfied its certificate
 };
 
 std::unique_ptr<ThreadPool> MakePool(int threads) {
-  if (threads == 0 || kdv::ResolveRenderThreads(threads) <= 1) return nullptr;
+  if (kdv::ResolveRenderThreads(threads) <= 1) return nullptr;
   ThreadPool::Options popts;
   popts.num_threads =
       static_cast<size_t>(kdv::ResolveRenderThreads(threads) - 1);
@@ -130,9 +132,9 @@ bool CheckCertificates(const KdeEvaluator& evaluator, const PixelGrid& grid,
 }
 
 // Renders the eps and tau frames `reps` times at `threads` frame threads
-// (0 = serial baseline path) and keeps the best wall time of each. Per-pixel
-// parallel frames are checked bitwise against the serial baselines;
-// tile-shared frames are checked against the certificate oracle instead.
+// and keeps the best wall time of each. Per-pixel engine frames are checked
+// bitwise against the per-pixel references; tile-shared frames are checked
+// against the certificate oracle instead.
 FrameTiming TimeFrames(const KdeEvaluator& evaluator, const PixelGrid& grid,
                        double eps, double tau, int threads, bool tile_shared,
                        int reps, const DensityFrame* eps_baseline,
@@ -146,17 +148,11 @@ FrameTiming TimeFrames(const KdeEvaluator& evaluator, const PixelGrid& grid,
 
   for (int rep = 0; rep < reps; ++rep) {
     BatchStats eps_stats;
-    DensityFrame eps_frame =
-        threads == 0 && !tile_shared
-            ? kdv::RenderEpsFrame(evaluator, grid, eps, &eps_stats)
-            : kdv::RenderEpsFrameParallel(evaluator, grid, eps, options,
-                                          pool.get(), control, &eps_stats);
+    DensityFrame eps_frame = kdv::RenderEpsFrameParallel(
+        evaluator, grid, eps, options, pool.get(), control, &eps_stats);
     BatchStats tau_stats;
-    BinaryFrame tau_frame =
-        threads == 0 && !tile_shared
-            ? kdv::RenderTauFrame(evaluator, grid, tau, &tau_stats)
-            : kdv::RenderTauFrameParallel(evaluator, grid, tau, options,
-                                          pool.get(), control, &tau_stats);
+    BinaryFrame tau_frame = kdv::RenderTauFrameParallel(
+        evaluator, grid, tau, options, pool.get(), control, &tau_stats);
     if (rep == 0 || eps_stats.seconds < timing.eps_seconds) {
       timing.eps_seconds = eps_stats.seconds;
     }
@@ -262,8 +258,8 @@ struct ResolutionReport {
 int main() {
   using namespace kdv;
   kdv_bench::PrintHeader(
-      "Frame", "intra-frame parallel + tile-shared rendering, serial vs "
-               "tiled (crime analogue, eps=0.05, tau=mean density)");
+      "Frame", "intra-frame parallel + tile-shared rendering, 1 vs N frame "
+               "threads (crime analogue, eps=0.05, tau=mean density)");
 
   const std::vector<int> pixel_sweep = FramePixelsList();
   const int reps = FrameReps();
@@ -289,13 +285,20 @@ int main() {
     report.tau = EstimateDensityStats(evaluator, grid, /*stride=*/8).mean;
     const double tau = report.tau;
 
-    // Serial baselines: timing reference AND the bit-exactness oracle.
-    BatchStats base_stats;
-    DensityFrame eps_baseline =
-        RenderEpsFrame(evaluator, grid, eps, &base_stats);
-    BinaryFrame tau_baseline =
-        RenderTauFrame(evaluator, grid, tau, &base_stats);
-    report.serial = TimeFrames(evaluator, grid, eps, tau, /*threads=*/0,
+    // Bit-exactness oracle: per-pixel evaluation, independent of the engine.
+    DensityFrame eps_baseline(px, px);
+    BinaryFrame tau_baseline(px, px);
+    for (int py = 0; py < px; ++py) {
+      for (int x = 0; x < px; ++x) {
+        const Point q = grid.PixelCenter(x, py);
+        eps_baseline.values[grid.PixelIndex(x, py)] =
+            evaluator.EvaluateEps(q, eps).estimate;
+        tau_baseline.values[grid.PixelIndex(x, py)] =
+            evaluator.EvaluateTau(q, tau).above_threshold ? 1 : 0;
+      }
+    }
+    // Timing reference: the engine at one thread, no pool.
+    report.serial = TimeFrames(evaluator, grid, eps, tau, /*threads=*/1,
                                /*tile_shared=*/false, reps, &eps_baseline,
                                &tau_baseline);
 

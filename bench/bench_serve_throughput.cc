@@ -168,7 +168,7 @@ int main() {
               "req/sec", "p50(ms)", "p99(ms)", "shed-retry");
   // Calibration render for the governor sweeps below.
   Timer certified_timer;
-  (void)RenderEpsFrame(evaluator, grid, 0.05, nullptr);
+  (void)RenderEpsFrameParallel(evaluator, grid, 0.05, {}, nullptr, {}, nullptr);
   const double certified_seconds = certified_timer.ElapsedSeconds();
 
   std::vector<SweepResult> results;

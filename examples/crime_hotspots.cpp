@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
     double tau = stats.mean + k * stats.stddev;
 
     kdv::BatchStats quad_stats;
-    kdv::BinaryFrame mask = kdv::RenderTauFrame(quad, grid, tau, &quad_stats);
+    kdv::BinaryFrame mask = kdv::RenderTauFrameParallel(
+        quad, grid, tau, {}, nullptr, {}, &quad_stats);
     kdv::BatchStats tkdc_stats;
-    kdv::BinaryFrame mask_ref =
-        kdv::RenderTauFrame(tkdc, grid, tau, &tkdc_stats);
+    kdv::BinaryFrame mask_ref = kdv::RenderTauFrameParallel(
+        tkdc, grid, tau, {}, nullptr, {}, &tkdc_stats);
 
     size_t hot = 0;
     for (uint8_t v : mask.values) hot += v;

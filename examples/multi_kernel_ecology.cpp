@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
     kdv::KdeEvaluator akde = bench.MakeEvaluator(kdv::Method::kAkde);
 
     kdv::BatchStats quad_stats;
-    kdv::DensityFrame frame = kdv::RenderEpsFrame(quad, grid, 0.01,
-                                                  &quad_stats);
+    kdv::DensityFrame frame = kdv::RenderEpsFrameParallel(
+        quad, grid, 0.01, {}, nullptr, {}, &quad_stats);
     kdv::BatchStats akde_stats;
-    kdv::DensityFrame ref = kdv::RenderEpsFrame(akde, grid, 0.01,
-                                                &akde_stats);
+    kdv::DensityFrame ref = kdv::RenderEpsFrameParallel(
+        akde, grid, 0.01, {}, nullptr, {}, &akde_stats);
 
     double disagreement =
         kdv::AverageRelativeError(frame.values, ref.values, 1e-12);

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   kdv::KdeEvaluator quad = bench.MakeEvaluator(kdv::Method::kQuad);
   kdv::PixelGrid grid(320, 240, bench.data_bounds());
   kdv::BatchStats stats;
-  kdv::DensityFrame frame = kdv::RenderEpsFrame(quad, grid, 0.01, &stats);
+  kdv::DensityFrame frame = kdv::RenderEpsFrameParallel(quad, grid, 0.01, {},
+                                                        nullptr, {}, &stats);
   std::printf("rendered %llu pixels in %.3f s (%.1f refinement steps/pixel)\n",
               static_cast<unsigned long long>(stats.queries), stats.seconds,
               static_cast<double>(stats.iterations) /

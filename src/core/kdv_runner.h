@@ -1,21 +1,15 @@
-// Batch drivers: εKDV / τKDV / exact KDV over a set of query points.
-//
-// Benchmarks and the visualization layers all funnel through these, so
-// timing and work accounting are measured uniformly across methods. Every
-// batch accepts an optional QueryControl carrying a per-request Deadline and
-// a shared CancelToken; stops are cooperative at per-query granularity (and,
-// for the bound-refining batches, at iteration granularity inside a query).
+// Work accounting for query batches: BatchStats and the two helpers that
+// fill it. The frame engine (viz/parallel_render.h) and the progressive
+// framework record every evaluated query through AccumulateQueryStats, and
+// every place that sums two stats uses MergeWorkCounters, so the counters
+// mean the same thing wherever a frame was rendered.
 #ifndef QUADKDV_CORE_KDV_RUNNER_H_
 #define QUADKDV_CORE_KDV_RUNNER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/evaluator.h"
-#include "geom/point.h"
-#include "util/cancel.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace kdv {
 
@@ -32,7 +26,7 @@ struct BatchStats {
   uint64_t numeric_faults = 0;    // queries clamped by numerical hardening
 
   // Shared-traversal (tile-shared) pruning-efficiency counters, populated by
-  // the parallel frame renderer when RenderOptions::tile_shared is on.
+  // the frame engine when RenderOptions::tile_shared is on.
   uint64_t tile_nodes_visited = 0;   // region bound evaluations (tile passes)
   uint64_t tile_accepted = 0;        // nodes folded into tile baselines
   uint64_t tile_pruned = 0;          // subtrees discarded tile-wide
@@ -48,55 +42,18 @@ struct BatchStats {
 };
 
 // Adds one query's work accounting (query count, iterations, points
-// scanned, numeric faults) to *stats. No-op when stats == nullptr. The
-// single place batch drivers — serial and parallel — record per-query work,
-// so the two result types can never drift apart in what they count.
+// scanned, node evaluations, numeric faults) to *stats. No-op when
+// stats == nullptr. The single place per-query work is recorded, so the two
+// result types can never drift apart in what they count.
 void AccumulateQueryStats(BatchStats* stats, const EvalResult& r);
 void AccumulateQueryStats(BatchStats* stats, const TauResult& r);
 
-// εKDV over `queries`; out[i] is the (1±eps)-approximate density of
-// queries[i]. `stats` may be nullptr. Entries not reached before a stop
-// keep 0.0.
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                const QueryControl& control,
-                                BatchStats* stats);
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                BatchStats* stats);
-
-// τKDV over `queries`; out[i] is 1 iff F_P(queries[i]) >= tau.
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 const QueryControl& control,
-                                 BatchStats* stats);
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 BatchStats* stats);
-
-// Exact KDV (sequential scan per query). Stops are per-query: one exact
-// scan is the smallest unit of interruption for this method.
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries,
-                                  const QueryControl& control,
-                                  BatchStats* stats);
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries, BatchStats* stats);
-
-// Deadline/cancellation-aware εKDV in a caller-chosen evaluation order:
-// evaluates queries[order[k]] for k = 0,1,... until a stop condition fires,
-// writing results into (*out)[order[k]]. Entries not reached keep their
-// prior value. Returns the number of queries evaluated. Used by the
-// progressive framework (§6) and its EXACT/sampling competitors.
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     const QueryControl& control, std::vector<double>* out,
-                     BatchStats* stats);
-// Back-compat shim: deadline-only control.
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     Deadline* deadline, std::vector<double>* out,
-                     BatchStats* stats);
+// Adds `from`'s work counters (queries, iterations, points scanned, node
+// evaluations, numeric faults, the tile-pass counters, tile seconds and
+// frontier-cache hits) to *into. No-op when into == nullptr. Timing (seconds)
+// and the stop/status flags are left to the caller: how those combine
+// depends on what the two stats describe.
+void MergeWorkCounters(BatchStats* into, const BatchStats& from);
 
 }  // namespace kdv
 

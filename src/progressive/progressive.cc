@@ -141,9 +141,7 @@ ProgressiveResult RenderProgressive(const KdeEvaluator& evaluator,
       evaluated[center_idx] = 1;
       pixel_value[center_idx] = value;
       ++result.pixels_evaluated;
-      ++result.stats.queries;
-      result.stats.iterations += r.iterations;
-      result.stats.points_scanned += r.points_scanned;
+      AccumulateQueryStats(&result.stats, r);
     }
     // Paint the region; pixels already holding evaluated values keep them
     // (they are at least as accurate as this coarser representative).

@@ -8,7 +8,8 @@
 //   kdv::Workbench bench(std::move(pts), kdv::KernelType::kGaussian);
 //   kdv::KdeEvaluator quad = bench.MakeEvaluator(kdv::Method::kQuad);
 //   kdv::PixelGrid grid(640, 480, bench.data_bounds());
-//   kdv::DensityFrame f = kdv::RenderEpsFrame(quad, grid, 0.01, nullptr);
+//   kdv::DensityFrame f = kdv::RenderEpsFrameParallel(
+//       quad, grid, 0.01, {}, nullptr, {}, nullptr);
 //   kdv::RenderHeatMap(f).WritePpm("hotspots.ppm");
 #ifndef QUADKDV_QUADKDV_H_
 #define QUADKDV_QUADKDV_H_
@@ -69,12 +70,10 @@
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
-#include "viz/block_tau.h"
 #include "viz/color_map.h"
 #include "viz/frame.h"
 #include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 #endif  // QUADKDV_QUADKDV_H_

@@ -279,7 +279,8 @@ RenderOutcome ResilientRenderer::Render(
     }
     if (!parallel_stats.status.ok()) {
       // Internal/injected fault in the parallel certified path: same
-      // degradation (and breaker/retry visibility) as a serial-path fault.
+      // degradation (and breaker/retry visibility) as a progressive-path
+      // fault.
       outcome.stats = parallel_stats;
       RecordFault(&outcome, parallel_stats.status);
       if (opts.degrade) RenderCoarse(grid, opts, &outcome);
@@ -313,13 +314,9 @@ RenderOutcome ResilientRenderer::Render(
   }
   RenderObs::Get().refinement_seconds->Record(prog_seconds);
   outcome.stats = prog.stats;
-  if (tried_parallel) {
-    // Work spent in the abandoned parallel attempt still counts.
-    outcome.stats.queries += parallel_stats.queries;
-    outcome.stats.iterations += parallel_stats.iterations;
-    outcome.stats.points_scanned += parallel_stats.points_scanned;
-    outcome.stats.numeric_faults += parallel_stats.numeric_faults;
-  }
+  // Work spent in the abandoned tiled attempt still counts (all zero when
+  // it was not tried).
+  MergeWorkCounters(&outcome.stats, parallel_stats);
   outcome.numeric_faults += prog.numeric_faults;
   outcome.deadline_expired |= prog.deadline_expired;
   outcome.cancelled |= prog.cancelled;

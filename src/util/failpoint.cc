@@ -80,9 +80,9 @@ const std::vector<std::string>& AllSites() {
       "refine.step",         // RefinementStream::Step child-bound math
       "eval.eps",            // KdeEvaluator::RefineEps result interval
       "eval.tau",            // KdeEvaluator::EvaluateTau result interval
-      "runner.eps",          // RunEpsBatch / RunEpsOrdered per-query
-      "runner.tau",          // RunTauBatch per-query
-      "runner.exact",        // RunExactBatch per-query
+      "runner.eps",          // frame engine per-pixel εKDV
+      "runner.tau",          // frame engine per-pixel τKDV
+      "runner.exact",        // frame engine per-pixel exact KDV
       "progressive.render",  // RenderProgressive entry
       "progressive.op",      // RenderProgressive per-region-op
       "viz.render",          // whole-frame render entry (eps/tau/exact)

@@ -40,8 +40,8 @@ struct FrameObs {
   }
 };
 
-// Injected whole-frame fault (same site as the serial renderers): record it
-// and hand back the untouched (all-zero, finite) frame.
+// Injected whole-frame fault: record it and hand back the untouched
+// (all-zero, finite) frame.
 bool EntryFault(BatchStats* stats) {
   Status status = KDV_FAILPOINT_STATUS("viz.render");
   if (status.ok()) return false;
@@ -124,7 +124,7 @@ bool PixelPreamble(FrameJob& job, BatchStats& ts) {
 // Evaluates one band of rows. EvalPixel is
 //   Value (const Point& q, RefinementStream& scratch, BatchStats* ts,
 //          bool* interrupted)
-// — the exact per-pixel body of the corresponding serial batch driver.
+// — one per-pixel evaluation, recorded through AccumulateQueryStats.
 template <typename Value, typename EvalPixel>
 void ProcessTile(FrameJob& job, uint32_t tile, Value* values,
                  RefinementStream& scratch, const EvalPixel& eval) {
@@ -258,16 +258,7 @@ void DrainTiles(const std::shared_ptr<FrameJob>& job, Value* values,
 void MergeTileStats(const std::vector<BatchStats>& tiles, BatchStats* stats) {
   if (stats == nullptr) return;
   for (const BatchStats& tile : tiles) {
-    stats->queries += tile.queries;
-    stats->iterations += tile.iterations;
-    stats->points_scanned += tile.points_scanned;
-    stats->nodes_visited += tile.nodes_visited;
-    stats->numeric_faults += tile.numeric_faults;
-    stats->tile_nodes_visited += tile.tile_nodes_visited;
-    stats->tile_accepted += tile.tile_accepted;
-    stats->tile_pruned += tile.tile_pruned;
-    stats->tiles_decided += tile.tiles_decided;
-    stats->tile_seconds += tile.tile_seconds;
+    MergeWorkCounters(stats, tile);
     if (!tile.completed) stats->completed = false;
     if (tile.deadline_expired) stats->deadline_expired = true;
     if (tile.cancelled) stats->cancelled = true;
@@ -529,7 +520,8 @@ DensityFrame RenderExactFrameParallel(const KdeEvaluator& evaluator,
   auto eval = [&evaluator, num_points](const Point& q,
                                        RefinementStream& /*scratch*/,
                                        BatchStats* ts, bool* interrupted) {
-    // Exact scans are uninterruptible mid-query, matching RunExactBatch.
+    // Exact scans are uninterruptible mid-query: one scan is the smallest
+    // unit of interruption for this method.
     *interrupted = false;
     ++ts->queries;
     ts->points_scanned += num_points;

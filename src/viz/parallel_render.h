@@ -1,18 +1,21 @@
-// Intra-frame data-parallel KDV rendering.
+// The frame engine: the one code path that renders a whole εKDV / τKDV /
+// exact KDV frame, on one thread or many.
 //
 // The pixel grid is split into horizontal bands of `tile_rows` rows; workers
 // claim bands off a shared atomic counter and evaluate their pixels with a
 // per-worker reusable RefinementStream (zero allocations after warm-up).
 // The caller thread always participates in tile processing, so a frame makes
-// progress even when the helper pool is saturated or absent — and a frame
-// rendered through an exhausted pool degrades to the serial path rather than
-// failing.
+// progress even when the helper pool is saturated or absent — with a null
+// pool (or num_threads = 1) the caller renders every band itself, and a
+// frame rendered through an exhausted pool degrades to exactly that rather
+// than failing.
 //
 // Determinism: pixels are independent queries and every worker runs the
-// exact same per-pixel evaluation as the serial renderers (viz/render.h), so
-// a completed parallel frame is bit-identical to the serial frame for any
-// thread count and tile size. Tile stats are merged in tile-index order, so
-// the aggregate BatchStats counters are deterministic too (seconds excepted).
+// same per-pixel evaluation as a fresh-stream KdeEvaluator::EvaluateEps /
+// EvaluateTau / EvaluateExact call, so a completed frame is bit-identical to
+// per-pixel evaluation for any thread count and tile size. Tile stats are
+// merged in tile-index order, so the aggregate BatchStats counters are
+// deterministic too (seconds excepted).
 //
 // Tile-shared mode (RenderOptions::tile_shared) amortizes the tree traversal
 // across the pixels of each tile chunk with one region-bound pass
@@ -23,14 +26,17 @@
 // equal to the per-pixel path: whole chunks may be answered from region
 // bounds alone. The εKDV/τKDV certificates hold exactly either way.
 //
-// Contracts preserved from the serial path:
+// Stop, fault and work-counter contracts:
 //   * QueryControl is polled before every pixel and at iteration granularity
 //     inside each refining evaluation; on a stop the partial frame comes
 //     back with completed=false and the deadline_expired/cancelled flags
-//     set. Tiles not yet claimed are abandoned.
-//   * The per-query failpoint sites ("runner.eps" / "runner.tau" /
-//     "runner.exact") and the whole-frame entry site ("viz.render") fire
-//     exactly as in the serial renderers.
+//     set. Tiles not yet claimed are abandoned and their pixels keep 0.
+//   * The per-pixel failpoint sites ("runner.eps" / "runner.tau" /
+//     "runner.exact") fire before every pixel, and the whole-frame entry
+//     site ("viz.render") before any work; an injected error stops the
+//     frame with BatchStats::status set.
+//   * Every evaluated pixel is recorded through AccumulateQueryStats and the
+//     per-tile stats are summed with MergeWorkCounters (core/kdv_runner.h).
 #ifndef QUADKDV_VIZ_PARALLEL_RENDER_H_
 #define QUADKDV_VIZ_PARALLEL_RENDER_H_
 
@@ -61,8 +67,9 @@ struct RenderOptions {
   // split into ~square column chunks, one region-bound pass runs per chunk,
   // and pixels are seeded from the resulting frontier (or whole chunks are
   // answered from the region bounds alone). Off keeps frames bit-identical
-  // to the serial per-pixel renderers; on preserves the εKDV/τKDV
-  // certificates but may produce (certified) different pixel values.
+  // to per-pixel evaluation; on preserves the εKDV/τKDV certificates (τ
+  // masks match the per-pixel ones) but may produce (certified) different
+  // εKDV pixel values.
   // Ignored for the EXACT method and for non-2-d indexes.
   bool tile_shared = false;
   // Pixel columns per shared-traversal chunk; 0 derives the chunk width from

@@ -6,7 +6,8 @@
 //
 //   kdv::Workbench bench(points, kdv::KernelType::kGaussian);
 //   kdv::KdeEvaluator quad = bench.MakeEvaluator(kdv::Method::kQuad);
-//   kdv::DensityFrame frame = kdv::RenderEpsFrame(quad, grid, 0.01, nullptr);
+//   kdv::DensityFrame frame = kdv::RenderEpsFrameParallel(
+//       quad, grid, 0.01, {}, nullptr, {}, nullptr);
 #ifndef QUADKDV_WORKBENCH_WORKBENCH_H_
 #define QUADKDV_WORKBENCH_WORKBENCH_H_
 

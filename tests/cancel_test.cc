@@ -8,8 +8,8 @@
 #include "progressive/progressive.h"
 #include "util/timer.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -52,7 +52,7 @@ TEST(QueryControlTest, DeadlineExpiryReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Propagation through the batch runners and renderers
+// Propagation through the frame engine and the progressive renderer
 // ---------------------------------------------------------------------------
 
 class ControlPropagationTest : public ::testing::Test {
@@ -65,7 +65,7 @@ class ControlPropagationTest : public ::testing::Test {
   PixelGrid grid_;
 };
 
-TEST_F(ControlPropagationTest, CancelledBatchStopsAndReportsIt) {
+TEST_F(ControlPropagationTest, CancelledFrameStopsAndReportsIt) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   CancelToken token;
   token.RequestCancel();
@@ -73,16 +73,16 @@ TEST_F(ControlPropagationTest, CancelledBatchStopsAndReportsIt) {
   control.cancel = &token;
 
   BatchStats stats;
-  std::vector<double> out =
-      RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, control, &stats);
-  ASSERT_EQ(out.size(), grid_.num_pixels());
+  DensityFrame frame =
+      RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr, control, &stats);
+  ASSERT_EQ(frame.values.size(), grid_.num_pixels());
   EXPECT_TRUE(stats.cancelled);
   EXPECT_FALSE(stats.completed);
   EXPECT_EQ(stats.queries, 0u);
-  for (double v : out) EXPECT_EQ(v, 0.0);  // unreached entries stay zero
+  for (double v : frame.values) EXPECT_EQ(v, 0.0);  // unreached pixels stay 0
 }
 
-TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryBatchKind) {
+TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryFrameKind) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   Deadline expired(1e-12);
   while (!expired.Expired()) {
@@ -91,35 +91,19 @@ TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryBatchKind) {
   control.deadline = &expired;
 
   BatchStats eps_stats;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, control, &eps_stats);
+  RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr, control, &eps_stats);
   EXPECT_TRUE(eps_stats.deadline_expired);
   EXPECT_FALSE(eps_stats.completed);
 
   BatchStats tau_stats;
-  RunTauBatch(quad, grid_.AllPixelCenters(), 1e-3, control, &tau_stats);
+  RenderTauFrameParallel(quad, grid_, 1e-3, {}, nullptr, control, &tau_stats);
   EXPECT_TRUE(tau_stats.deadline_expired);
   EXPECT_FALSE(tau_stats.completed);
 
   BatchStats exact_stats;
-  RunExactBatch(quad, grid_.AllPixelCenters(), control, &exact_stats);
+  RenderExactFrameParallel(quad, grid_, {}, nullptr, control, &exact_stats);
   EXPECT_TRUE(exact_stats.deadline_expired);
   EXPECT_FALSE(exact_stats.completed);
-}
-
-TEST_F(ControlPropagationTest, NoControlMatchesLegacyOverloads) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  BatchStats a, b;
-  std::vector<double> with_control = RunEpsBatch(
-      quad, grid_.AllPixelCenters(), 0.01, QueryControl(), &a);
-  std::vector<double> without =
-      RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, &b);
-  ASSERT_EQ(with_control.size(), without.size());
-  for (size_t i = 0; i < without.size(); ++i) {
-    EXPECT_DOUBLE_EQ(with_control[i], without[i]);
-  }
-  EXPECT_TRUE(a.completed);
-  EXPECT_FALSE(a.deadline_expired);
-  EXPECT_FALSE(a.cancelled);
 }
 
 TEST_F(ControlPropagationTest, EvaluatorInterruptedMidQuery) {
@@ -138,19 +122,6 @@ TEST_F(ControlPropagationTest, EvaluatorInterruptedMidQuery) {
   EXPECT_LE(r.lower, r.upper);
 }
 
-TEST_F(ControlPropagationTest, CancelledRenderFramesStayFinite) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  CancelToken token;
-  token.RequestCancel();
-  QueryControl control;
-  control.cancel = &token;
-
-  BatchStats stats;
-  DensityFrame frame = RenderEpsFrame(quad, grid_, 0.01, control, &stats);
-  EXPECT_TRUE(stats.cancelled);
-  EXPECT_EQ(ScrubNonFinite(&frame), 0u);
-}
-
 TEST_F(ControlPropagationTest, ProgressiveReportsCancellation) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   CancelToken token;
@@ -167,23 +138,22 @@ TEST_F(ControlPropagationTest, ProgressiveReportsCancellation) {
   EXPECT_EQ(ScrubNonFinite(&r.frame), 0u);  // fully painted, finite
 }
 
-TEST_F(ControlPropagationTest, MidFlightCancelStopsALongBatch) {
+TEST_F(ControlPropagationTest, MidFlightCancelStopsALongFrame) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   CancelToken token;
   QueryControl control;
   control.cancel = &token;
 
-  // Cancel after the first poll fires: evaluate one query, then flip the
-  // flag from "another thread" simulated by a pre-cancelled token copy.
-  // (Deterministic single-thread variant: cancel immediately after a first
-  // uncontrolled run proves at least one query completes.)
+  // Deterministic single-thread variant of a cancel landing mid-frame: an
+  // uncontrolled run first proves every pixel is reachable, then the same
+  // frame under a flipped token stops short.
   BatchStats warmup;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.05, &warmup);
+  RenderEpsFrameParallel(quad, grid_, 0.05, {}, nullptr, {}, &warmup);
   ASSERT_EQ(warmup.queries, grid_.num_pixels());
 
   token.RequestCancel();
   BatchStats stats;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.05, control, &stats);
+  RenderEpsFrameParallel(quad, grid_, 0.05, {}, nullptr, control, &stats);
   EXPECT_TRUE(stats.cancelled);
   EXPECT_LT(stats.queries, grid_.num_pixels());
 }

@@ -6,7 +6,7 @@
 #include "data/datasets.h"
 #include "stats/density_stats.h"
 #include "viz/frame.h"
-#include "viz/render.h"
+#include "viz/parallel_render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -30,7 +30,8 @@ TEST(GridKdeTest, AccuracyImprovesWithGridResolution) {
   Workbench bench(GenerateMixture(CrimeSpec(0.003)), KernelType::kGaussian);
   PixelGrid grid(24, 18, bench.data_bounds());
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
   const double floor = 1e-3 * ComputeMeanStd(truth.values).mean;
 
   double prev_err = 1e9;
@@ -54,7 +55,8 @@ TEST(GridKdeTest, NoGuaranteeUnlikeBoundMethods) {
   Workbench bench(GenerateMixture(CrimeSpec(0.003)), KernelType::kGaussian);
   PixelGrid grid(24, 18, bench.data_bounds());
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
   const double floor = 1e-3 * ComputeMeanStd(truth.values).mean;
 
   GridKde::Options options;
@@ -141,7 +143,7 @@ TEST(GridKdeTest, MuchFasterThanExactOnLargeData) {
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   BatchStats stats;
-  RenderExactFrame(exact, grid, &stats);
+  RenderExactFrameParallel(exact, grid, {}, nullptr, {}, &stats);
   EXPECT_LT(grid_time, stats.seconds);
   (void)frame;
 }

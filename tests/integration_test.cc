@@ -27,11 +27,13 @@ TEST_F(IntegrationTest, AllEpsMethodsAgreeWithExactWithinEps) {
   PixelGrid grid(20, 16, bench.data_bounds());
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
 
   for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
     KdeEvaluator evaluator = bench.MakeEvaluator(method);
-    DensityFrame frame = RenderEpsFrame(evaluator, grid, eps, nullptr);
+    DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, eps, {},
+                                                nullptr, {}, nullptr);
     EXPECT_LE(MaxRelativeError(frame.values, truth.values, 1e-12),
               eps + 1e-6)
         << MethodName(method);
@@ -49,9 +51,12 @@ TEST_F(IntegrationTest, TauMasksIdenticalAcrossBoundMethods) {
   KdeEvaluator tkdc = bench.MakeEvaluator(Method::kTkdc);
   KdeEvaluator karl = bench.MakeEvaluator(Method::kKarl);
 
-  BinaryFrame m_quad = RenderTauFrame(quad, grid, tau, nullptr);
-  BinaryFrame m_tkdc = RenderTauFrame(tkdc, grid, tau, nullptr);
-  BinaryFrame m_karl = RenderTauFrame(karl, grid, tau, nullptr);
+  BinaryFrame m_quad = RenderTauFrameParallel(quad, grid, tau, {}, nullptr, {},
+                                              nullptr);
+  BinaryFrame m_tkdc = RenderTauFrameParallel(tkdc, grid, tau, {}, nullptr, {},
+                                              nullptr);
+  BinaryFrame m_karl = RenderTauFrameParallel(karl, grid, tau, {}, nullptr, {},
+                                              nullptr);
 
   EXPECT_EQ(BinaryMismatchRate(m_quad.values, m_tkdc.values), 0.0);
   EXPECT_EQ(BinaryMismatchRate(m_quad.values, m_karl.values), 0.0);
@@ -71,8 +76,10 @@ TEST_F(IntegrationTest, OtherKernelsEndToEnd) {
     KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
     KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
 
-    DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
-    DensityFrame approx = RenderEpsFrame(quad, grid, 0.01, nullptr);
+    DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                  nullptr);
+    DensityFrame approx = RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr,
+                                                 {}, nullptr);
     // Relative guarantee where density is nonzero; zero stays zero.
     for (size_t i = 0; i < truth.values.size(); ++i) {
       if (truth.values[i] > 1e-12) {
@@ -92,10 +99,12 @@ TEST_F(IntegrationTest, ZorderPipelineQualityIsStatistical) {
   PixelGrid grid(16, 12, bench.data_bounds());
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
 
   KdeEvaluator zorder = bench.MakeZorderEvaluator(0.05);
-  DensityFrame frame = RenderEpsFrame(zorder, grid, 0.05, nullptr);
+  DensityFrame frame = RenderEpsFrameParallel(zorder, grid, 0.05, {}, nullptr,
+                                              {}, nullptr);
   // Probabilistic method: no deterministic per-pixel bound, but the average
   // error over the frame must be modest.
   EXPECT_LT(AverageRelativeError(frame.values, truth.values,
@@ -109,7 +118,8 @@ TEST_F(IntegrationTest, ProgressiveQuadReachesEpsQuality) {
 
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
 
   ProgressiveResult full = RenderProgressive(quad, grid, 0.01, 0.0);
   ASSERT_TRUE(full.completed);
@@ -122,7 +132,8 @@ TEST_F(IntegrationTest, EndToEndImagePipelineWritesArtifacts) {
   PixelGrid grid(32, 24, bench.data_bounds());
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
 
-  DensityFrame frame = RenderEpsFrame(quad, grid, 0.01, nullptr);
+  DensityFrame frame = RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr, {},
+                                              nullptr);
   std::string heat_path = ::testing::TempDir() + "/kdv_heat.ppm";
   ASSERT_TRUE(RenderHeatMap(frame).WritePpm(heat_path));
 

@@ -1,9 +1,10 @@
 // Determinism and robustness suite for the intra-frame parallel renderer
 // and the SoA/scratch machinery beneath it.
 //
-// The load-bearing property is bit-identical output: a parallel frame must
-// equal the serial frame byte for byte, for every operation (εKDV / τKDV /
-// exact), thread count, and tile size — that is what lets the parallel path
+// The load-bearing property is bit-identical output: an engine frame must
+// equal per-pixel evaluation (one fresh-stream EvaluateEps / EvaluateTau /
+// EvaluateExact call per pixel, no engine involved) byte for byte, for every
+// operation, thread count, and tile size — that is what lets the engine
 // ship certified frames. Beneath it, two refactors carry the same contract
 // at smaller scope: the SoA leaf kernel must match the AoS scalar loop
 // bitwise, and a Reset() scratch stream must be indistinguishable from a
@@ -24,10 +25,10 @@
 #include "core/leaf_kernel.h"
 #include "core/refinement_stream.h"
 #include "data/datasets.h"
+#include "stats/density_stats.h"
 #include "index/kdtree.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -75,8 +76,62 @@ uint64_t Bits(double v) {
   return ::testing::AssertionSuccess();
 }
 
+// Independent references: one fresh-stream evaluator call per pixel, with
+// the work counters of each call summed by hand.
+void CountQuery(BatchStats* stats, uint64_t iterations, uint64_t points,
+                uint64_t nodes, bool numeric_fault) {
+  ++stats->queries;
+  stats->iterations += iterations;
+  stats->points_scanned += points;
+  stats->nodes_visited += nodes;
+  if (numeric_fault) ++stats->numeric_faults;
+}
+
+std::vector<double> PerPixelEps(const KdeEvaluator& evaluator,
+                                const PixelGrid& grid, double eps,
+                                BatchStats* stats) {
+  std::vector<double> out(grid.num_pixels());
+  for (int py = 0; py < grid.height(); ++py) {
+    for (int px = 0; px < grid.width(); ++px) {
+      EvalResult r = evaluator.EvaluateEps(grid.PixelCenter(px, py), eps);
+      out[grid.PixelIndex(px, py)] = r.estimate;
+      CountQuery(stats, r.iterations, r.points_scanned, r.node_evals,
+                 r.numeric_fault);
+    }
+  }
+  return out;
+}
+
+std::vector<uint8_t> PerPixelTau(const KdeEvaluator& evaluator,
+                                 const PixelGrid& grid, double tau,
+                                 BatchStats* stats) {
+  std::vector<uint8_t> out(grid.num_pixels());
+  for (int py = 0; py < grid.height(); ++py) {
+    for (int px = 0; px < grid.width(); ++px) {
+      TauResult r = evaluator.EvaluateTau(grid.PixelCenter(px, py), tau);
+      out[grid.PixelIndex(px, py)] = r.above_threshold ? 1 : 0;
+      CountQuery(stats, r.iterations, r.points_scanned, r.node_evals,
+                 r.numeric_fault);
+    }
+  }
+  return out;
+}
+
+std::vector<double> PerPixelExact(const KdeEvaluator& evaluator,
+                                  const PixelGrid& grid, BatchStats* stats) {
+  std::vector<double> out(grid.num_pixels());
+  for (int py = 0; py < grid.height(); ++py) {
+    for (int px = 0; px < grid.width(); ++px) {
+      out[grid.PixelIndex(px, py)] =
+          evaluator.EvaluateExact(grid.PixelCenter(px, py));
+      CountQuery(stats, 0, evaluator.tree().num_points(), 0, false);
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// Parallel frame == serial frame, bitwise
+// Engine frame == per-pixel evaluation, bitwise
 // ---------------------------------------------------------------------------
 
 struct ParallelCase {
@@ -92,14 +147,15 @@ std::string CaseName(const ::testing::TestParamInfo<ParallelCase>& info) {
 class ParallelEquivalenceTest : public ::testing::TestWithParam<ParallelCase> {
 };
 
-TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(40, 30, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, &serial_stats);
+  BatchStats ref_stats;
+  const std::vector<double> reference =
+      PerPixelEps(evaluator, grid, 0.05, &ref_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -109,24 +165,26 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToSerial) {
   DensityFrame parallel = RenderEpsFrameParallel(
       evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(reference, parallel.values));
   EXPECT_TRUE(stats.completed);
-  // Per-tile accounting merged in tile order must equal the serial counters.
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.iterations, serial_stats.iterations);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
-  EXPECT_EQ(stats.numeric_faults, serial_stats.numeric_faults);
+  // Per-tile accounting merged in tile order must equal the per-pixel sums.
+  EXPECT_EQ(stats.queries, ref_stats.queries);
+  EXPECT_EQ(stats.iterations, ref_stats.iterations);
+  EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
+  EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
+  EXPECT_EQ(stats.numeric_faults, ref_stats.numeric_faults);
 }
 
-TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToPerPixel) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(40, 30, bench->data_bounds());
   const double tau = 0.3;
 
-  BatchStats serial_stats;
-  BinaryFrame serial = RenderTauFrame(evaluator, grid, tau, &serial_stats);
+  BatchStats ref_stats;
+  const std::vector<uint8_t> reference =
+      PerPixelTau(evaluator, grid, tau, &ref_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -136,21 +194,23 @@ TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToSerial) {
   BinaryFrame parallel = RenderTauFrameParallel(
       evaluator, grid, tau, options, &pool, QueryControl(), &stats);
 
-  EXPECT_EQ(serial.values, parallel.values);
+  EXPECT_EQ(reference, parallel.values);
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.iterations, serial_stats.iterations);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
+  EXPECT_EQ(stats.queries, ref_stats.queries);
+  EXPECT_EQ(stats.iterations, ref_stats.iterations);
+  EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
+  EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
 }
 
-TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToPerPixel) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kExact);
   PixelGrid grid(24, 18, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderExactFrame(evaluator, grid, &serial_stats);
+  BatchStats ref_stats;
+  const std::vector<double> reference =
+      PerPixelExact(evaluator, grid, &ref_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -160,15 +220,15 @@ TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToSerial) {
   DensityFrame parallel = RenderExactFrameParallel(
       evaluator, grid, options, &pool, QueryControl(), &stats);
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(reference, parallel.values));
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
+  EXPECT_EQ(stats.queries, ref_stats.queries);
+  EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadAndTileSweep, ParallelEquivalenceTest,
-    ::testing::Values(ParallelCase{1, 16},   // serial-in-caller path
+    ::testing::Values(ParallelCase{1, 16},   // caller renders every band
                       ParallelCase{2, 16},   // fewer helpers than tiles
                       ParallelCase{4, 5},    // uneven tile split
                       ParallelCase{8, 1},    // one row per tile
@@ -177,14 +237,16 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 // A pool with no free capacity sheds every helper; the caller renders the
-// whole frame itself and the result is still bit-identical.
+// whole frame itself and the result is still bit-identical to per-pixel
+// evaluation.
 TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(32, 24, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, &serial_stats);
+  BatchStats ref_stats;
+  const std::vector<double> reference =
+      PerPixelEps(evaluator, grid, 0.05, &ref_stats);
 
   // One parked worker plus a full one-slot queue: every TrySubmit from the
   // renderer is rejected with kResourceExhausted.
@@ -210,9 +272,9 @@ TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
   release.store(true);
   pool.Stop();
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(reference, parallel.values));
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
+  EXPECT_EQ(stats.queries, ref_stats.queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,10 +370,10 @@ TEST(ParallelRenderTest, ConcurrentCancellationLeavesConsistentStats) {
 // Shared-traversal tile refinement
 // ---------------------------------------------------------------------------
 
-// --tile-shared=off is the bit-identity contract: the tiled driver with the
-// shared pass disabled must reproduce the serial frame byte for byte, for
-// every kernel and across thread x tile configurations.
-TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
+// --tile-shared=off is the bit-identity contract: the engine with the
+// shared pass disabled must reproduce per-pixel evaluation byte for byte,
+// for every kernel and across thread x tile configurations.
+TEST(TileSharedTest, OffPathBitIdenticalToPerPixelForEveryKernel) {
   const KernelType kernels[] = {KernelType::kGaussian,
                                 KernelType::kEpanechnikov,
                                 KernelType::kExponential};
@@ -320,8 +382,11 @@ TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
     KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
     PixelGrid grid(40, 30, bench->data_bounds());
 
-    DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, nullptr);
-    BinaryFrame serial_tau = RenderTauFrame(evaluator, grid, 0.3, nullptr);
+    BatchStats ref_stats;
+    const std::vector<double> reference =
+        PerPixelEps(evaluator, grid, 0.05, &ref_stats);
+    const std::vector<uint8_t> reference_tau =
+        PerPixelTau(evaluator, grid, 0.3, &ref_stats);
 
     ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
     for (const ParallelCase& c :
@@ -333,30 +398,43 @@ TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
       BatchStats stats;
       DensityFrame parallel = RenderEpsFrameParallel(
           evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
-      EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values))
+      EXPECT_TRUE(FramesBitIdentical(reference, parallel.values))
           << KernelTypeName(kernel) << " t" << c.num_threads;
       EXPECT_EQ(stats.tile_nodes_visited, 0u);
       BinaryFrame parallel_tau = RenderTauFrameParallel(
           evaluator, grid, 0.3, options, &pool, QueryControl(), &stats);
-      EXPECT_EQ(serial_tau.values, parallel_tau.values);
+      EXPECT_EQ(reference_tau, parallel_tau.values);
     }
   }
 }
 
 // Tile-shared frames return different (but still certified) estimates: every
-// pixel must satisfy the ε certificate against the exact oracle, and the τ
-// mask must match the exact classification. Swept over kernels, thread
-// counts and chunk shapes.
+// pixel must satisfy the ε certificate against the exact oracle, the τ mask
+// must match the exact classification, and at thresholds around the mean
+// density (τ = μ + kσ) it must equal the per-pixel τ mask exactly. Swept
+// over kernels, grid shapes (down to single pixels and one-row/one-column
+// strips), thread counts and chunk shapes.
 TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
-  const KernelType kernels[] = {KernelType::kGaussian,
-                                KernelType::kEpanechnikov,
-                                KernelType::kExponential};
+  struct Input {
+    KernelType kernel;
+    int width;
+    int height;
+  };
+  const Input inputs[] = {
+      {KernelType::kGaussian, 40, 30},   {KernelType::kEpanechnikov, 40, 30},
+      {KernelType::kExponential, 40, 30}, {KernelType::kTriangular, 40, 30},
+      {KernelType::kCosine, 40, 30},     {KernelType::kGaussian, 1, 1},
+      {KernelType::kGaussian, 7, 3},     {KernelType::kGaussian, 1, 16},
+      {KernelType::kGaussian, 33, 2},
+  };
   const double eps = 0.05;
   const double tau = 0.3;
-  for (KernelType kernel : kernels) {
-    auto bench = MakeBench(kernel);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(std::string(KernelTypeName(in.kernel)) + " " +
+                 std::to_string(in.width) + "x" + std::to_string(in.height));
+    auto bench = MakeBench(in.kernel);
     KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
-    PixelGrid grid(40, 30, bench->data_bounds());
+    PixelGrid grid(in.width, in.height, bench->data_bounds());
 
     std::vector<double> exact(grid.num_pixels());
     for (int y = 0; y < grid.height(); ++y) {
@@ -364,6 +442,15 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
         exact[static_cast<size_t>(y) * grid.width() + x] =
             evaluator.EvaluateExact(grid.PixelCenter(x, y));
       }
+    }
+    const MeanStd density = EstimateDensityStats(evaluator, grid, /*stride=*/1);
+    std::vector<double> sweep_taus;
+    std::vector<std::vector<uint8_t>> per_pixel_masks;
+    for (double k : {-0.3, -0.1, 0.0, 0.1, 0.3}) {
+      sweep_taus.push_back(std::max(density.mean + k * density.stddev, 1e-12));
+      BatchStats ref_stats;
+      per_pixel_masks.push_back(
+          PerPixelTau(evaluator, grid, sweep_taus.back(), &ref_stats));
     }
 
     ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
@@ -381,8 +468,7 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
         const double slack = 1e-9 * (1.0 + exact[i]);
         ASSERT_LE(std::abs(frame.values[i] - exact[i]),
                   eps * exact[i] + slack)
-            << KernelTypeName(kernel) << " t" << c.num_threads << " pixel "
-            << i;
+            << " t" << c.num_threads << " pixel " << i;
       }
       EXPECT_GT(stats.tile_nodes_visited, 0u);
 
@@ -396,8 +482,40 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
           ASSERT_EQ(mask.values[i], 0) << "pixel " << i;
         }
       }
+
+      for (size_t t = 0; t < sweep_taus.size(); ++t) {
+        BinaryFrame swept =
+            RenderTauFrameParallel(evaluator, grid, sweep_taus[t], options,
+                                   &pool, QueryControl(), &stats);
+        EXPECT_EQ(swept.values, per_pixel_masks[t])
+            << " t" << c.num_threads << " tau=" << sweep_taus[t];
+      }
     }
   }
+}
+
+// A τ above any possible density is answered by the region bounds alone:
+// every chunk is decided "below" and no pixel runs per-pixel refinement.
+TEST(TileSharedTest, TauAboveEveryDensityDecidesEveryChunk) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  PixelGrid grid(48, 36, bench->data_bounds());
+  const double tau = 1e9 * evaluator.params().weight *
+                     static_cast<double>(evaluator.tree().num_points());
+
+  RenderOptions options;
+  options.tile_rows = 8;
+  options.tile_shared = true;
+  BatchStats stats;
+  BinaryFrame mask = RenderTauFrameParallel(evaluator, grid, tau, options,
+                                            nullptr, QueryControl(), &stats);
+  for (uint8_t v : mask.values) EXPECT_EQ(v, 0);
+  const uint64_t chunks = ((36 + 7) / 8) * ((48 + 7) / 8);
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.tiles_decided, chunks);
+  EXPECT_EQ(stats.nodes_visited, 0u);
+  EXPECT_EQ(stats.iterations, 0u);
+  EXPECT_EQ(stats.queries, grid.num_pixels());
 }
 
 // A cache hit must substitute the stored frontiers verbatim: same frame
@@ -462,7 +580,8 @@ TEST(SimdDispatchTest, AllLevelsBitIdentical) {
 
   SetSimdLevel(SimdLevel::kScalar);
   ASSERT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-  DensityFrame baseline = RenderEpsFrame(evaluator, grid, 0.05, nullptr);
+  DensityFrame baseline = RenderEpsFrameParallel(evaluator, grid, 0.05, {},
+                                                 nullptr, {}, nullptr);
 
   const KdTree& tree = evaluator.tree();
   const KdTree::Node& root = tree.node(tree.root());
@@ -486,7 +605,8 @@ TEST(SimdDispatchTest, AllLevelsBitIdentical) {
                                 root.end, queries[i])))
           << "level " << SimdLevelName(level) << " query " << i;
     }
-    DensityFrame frame = RenderEpsFrame(evaluator, grid, 0.05, nullptr);
+    DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, 0.05, {},
+                                                nullptr, {}, nullptr);
     EXPECT_TRUE(FramesBitIdentical(baseline.values, frame.values))
         << "level " << SimdLevelName(level);
   }

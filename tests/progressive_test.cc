@@ -7,7 +7,7 @@
 #include "data/datasets.h"
 #include "progressive/progressive.h"
 #include "viz/frame.h"
-#include "viz/render.h"
+#include "viz/parallel_render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -88,10 +88,32 @@ TEST_F(ProgressiveRenderTest, UnboundedRunEvaluatesEveryPixel) {
   EXPECT_EQ(result.pixels_evaluated, grid_.num_pixels());
 
   // Completed progressive frame equals the plain εKDV frame.
-  DensityFrame direct = RenderEpsFrame(quad, grid_, 0.01, nullptr);
+  DensityFrame direct = RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr,
+                                               {}, nullptr);
   for (size_t i = 0; i < direct.values.size(); ++i) {
     EXPECT_NEAR(result.frame.values[i], direct.values[i], 1e-12);
   }
+}
+
+// A completed quad-tree run evaluates every pixel exactly once, so its work
+// counters must equal the frame engine's for the same grid — node
+// evaluations included (every certified frame served at one intra-frame
+// thread reports them from here).
+TEST_F(ProgressiveRenderTest, CompletedRunCountsWorkLikeTheFrameEngine) {
+  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
+  ProgressiveResult result = RenderProgressive(
+      quad, grid_, 0.01, QueryControl(),
+      QuadTreeSchedule(grid_.width(), grid_.height()));
+  ASSERT_TRUE(result.completed);
+
+  BatchStats engine;
+  RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr, {}, &engine);
+  ASSERT_TRUE(engine.completed);
+  EXPECT_EQ(result.stats.queries, engine.queries);
+  EXPECT_EQ(result.stats.iterations, engine.iterations);
+  EXPECT_EQ(result.stats.points_scanned, engine.points_scanned);
+  EXPECT_EQ(result.stats.nodes_visited, engine.nodes_visited);
+  EXPECT_GT(result.stats.nodes_visited, 0u);
 }
 
 TEST_F(ProgressiveRenderTest, TinyBudgetProducesPartialResult) {
@@ -105,7 +127,8 @@ TEST_F(ProgressiveRenderTest, TinyBudgetProducesPartialResult) {
 TEST_F(ProgressiveRenderTest, QualityImprovesWithBudget) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   KdeEvaluator exact = bench_.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid_, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid_, {}, nullptr, {},
+                                                nullptr);
 
   // Run the schedule to fixed op-counts by slicing it manually (time budgets
   // flake on loaded machines; op counts are deterministic).
@@ -140,7 +163,8 @@ TEST_F(ProgressiveRenderTest, PartialFrameHasNoUntouchedPixels) {
 TEST_F(ProgressiveRenderTest, MaxErrorIsMonotoneAcrossCheckpoints) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   KdeEvaluator exact = bench_.MakeEvaluator(Method::kExact);
-  DensityFrame truth = RenderExactFrame(exact, grid_, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid_, {}, nullptr, {},
+                                                nullptr);
 
   // Checkpoints at quad-tree level boundaries (each level multiplies the op
   // count by ~4): the worst-pixel error against the exact frame must be

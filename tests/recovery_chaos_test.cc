@@ -36,8 +36,8 @@
 #include "index/serialization.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -103,7 +103,8 @@ std::vector<double> FrameSignature(const PointSet& points) {
   Workbench bench(std::move(sorted), KernelType::kGaussian);
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
   PixelGrid grid(16, 12, bench.data_bounds());
-  DensityFrame frame = RenderEpsFrame(quad, grid, 0.05, nullptr);
+  DensityFrame frame = RenderEpsFrameParallel(quad, grid, 0.05, {}, nullptr, {},
+                                              nullptr);
   return frame.values;
 }
 

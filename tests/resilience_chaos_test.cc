@@ -228,5 +228,26 @@ TEST_F(ChaosSweepTest, DelayInTheScheduleTripsTheDeadline) {
   ExpectFinite(outcome.frame);
 }
 
+TEST_F(ChaosSweepTest, AbandonedTiledAttemptKeepsItsWorkCounters) {
+  // 20ms of injected latency before every pixel of the tile-shared attempt
+  // against a 50ms budget: the deadline fires a few pixels in, after the
+  // first chunk's region pass, and the ladder falls through. The work the
+  // abandoned attempt did must still be in the outcome's counters.
+  ASSERT_TRUE(failpoint::Arm("runner.eps", failpoint::Action::kDelay,
+                             /*delay_ms=*/20)
+                  .ok());
+  PixelGrid grid(64, 48, bench_.data_bounds());
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  options.budget_seconds = 0.05;
+  options.parallel.tile_shared = true;
+  RenderOutcome outcome = renderer.Render(grid, options);
+  EXPECT_TRUE(outcome.deadline_expired);
+  EXPECT_NE(outcome.tier, QualityTier::kCertified);
+  EXPECT_GT(outcome.stats.tile_nodes_visited, 0u);
+  for (double v : outcome.frame.values) EXPECT_TRUE(std::isfinite(v));
+}
+
 }  // namespace
 }  // namespace kdv

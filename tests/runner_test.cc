@@ -1,110 +1,71 @@
-// Tests for the batch drivers (core/kdv_runner.h) and the step-wise
-// RefinementStream (core/refinement_stream.h).
+// Tests for the work-accounting helpers (core/kdv_runner.h) and the
+// step-wise RefinementStream (core/refinement_stream.h).
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/kdv_runner.h"
 #include "core/refinement_stream.h"
 #include "data/datasets.h"
-#include "util/random.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
 namespace {
 
-class RunnerTest : public ::testing::Test {
- protected:
-  RunnerTest()
-      : bench_(GenerateMixture(CrimeSpec(0.002)), KernelType::kGaussian) {
-    Rng rng(21);
-    for (int i = 0; i < 50; ++i) {
-      queries_.push_back(Point{rng.NextDouble(), rng.NextDouble()});
-    }
-  }
+TEST(MergeWorkCountersTest, SumsCountersAndLeavesFlags) {
+  BatchStats from;
+  from.seconds = 3.0;
+  from.queries = 1;
+  from.iterations = 2;
+  from.points_scanned = 3;
+  from.nodes_visited = 4;
+  from.numeric_faults = 5;
+  from.tile_nodes_visited = 6;
+  from.tile_accepted = 7;
+  from.tile_pruned = 8;
+  from.tiles_decided = 9;
+  from.tile_seconds = 0.5;
+  from.frontier_cache_hits = 10;
+  from.completed = false;
+  from.deadline_expired = true;
+  from.cancelled = true;
+  from.status = InternalError("injected");
 
-  Workbench bench_;
-  PointSet queries_;
-};
-
-TEST_F(RunnerTest, EpsBatchMatchesPerQueryEvaluation) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  BatchStats stats;
-  std::vector<double> batch = RunEpsBatch(quad, queries_, 0.01, &stats);
-  ASSERT_EQ(batch.size(), queries_.size());
-  EXPECT_EQ(stats.queries, queries_.size());
-  EXPECT_TRUE(stats.completed);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], quad.EvaluateEps(queries_[i], 0.01).estimate);
-  }
-}
-
-TEST_F(RunnerTest, TauBatchMatchesPerQueryEvaluation) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  double tau = 0.5;
-  std::vector<uint8_t> batch = RunTauBatch(quad, queries_, tau, nullptr);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_EQ(batch[i] != 0, quad.EvaluateTau(queries_[i], tau).above_threshold);
-  }
-}
-
-TEST_F(RunnerTest, ExactBatchCountsAllPoints) {
-  KdeEvaluator exact = bench_.MakeEvaluator(Method::kExact);
-  BatchStats stats;
-  std::vector<double> batch = RunExactBatch(exact, queries_, &stats);
-  EXPECT_EQ(stats.points_scanned,
-            queries_.size() * bench_.num_points());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], exact.EvaluateExact(queries_[i]));
-  }
-}
-
-TEST_F(RunnerTest, OrderedRunRespectsOrderAndDeadline) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-
-  // Reverse order, no deadline: all evaluated.
-  std::vector<uint32_t> order(queries_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::reverse(order.begin(), order.end());
-  std::vector<double> out(queries_.size(), -1.0);
-  BatchStats stats;
-  size_t evaluated =
-      RunEpsOrdered(quad, queries_, order, 0.01, nullptr, &out, &stats);
-  EXPECT_EQ(evaluated, queries_.size());
-  EXPECT_TRUE(stats.completed);
-  for (double v : out) EXPECT_GE(v, 0.0);
-
-  // Expired deadline: nothing evaluated, sentinel values untouched.
-  std::vector<double> out2(queries_.size(), -1.0);
-  Deadline expired(1e-12);
-  while (!expired.Expired()) {
-  }
-  BatchStats stats2;
-  size_t evaluated2 =
-      RunEpsOrdered(quad, queries_, order, 0.01, &expired, &out2, &stats2);
-  EXPECT_EQ(evaluated2, 0u);
-  EXPECT_FALSE(stats2.completed);
-  for (double v : out2) EXPECT_DOUBLE_EQ(v, -1.0);
-}
-
-TEST_F(RunnerTest, OrderedRunPartialPrefix) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  std::vector<uint32_t> order = {3, 1, 4};
-  std::vector<double> out(queries_.size(), -1.0);
-  size_t evaluated =
-      RunEpsOrdered(quad, queries_, order, 0.01, nullptr, &out, nullptr);
-  EXPECT_EQ(evaluated, 3u);
-  EXPECT_GE(out[3], 0.0);
-  EXPECT_GE(out[1], 0.0);
-  EXPECT_GE(out[4], 0.0);
-  EXPECT_DOUBLE_EQ(out[0], -1.0);
+  BatchStats into;
+  into.seconds = 1.0;
+  MergeWorkCounters(&into, from);
+  MergeWorkCounters(&into, from);
+  EXPECT_EQ(into.queries, 2u);
+  EXPECT_EQ(into.iterations, 4u);
+  EXPECT_EQ(into.points_scanned, 6u);
+  EXPECT_EQ(into.nodes_visited, 8u);
+  EXPECT_EQ(into.numeric_faults, 10u);
+  EXPECT_EQ(into.tile_nodes_visited, 12u);
+  EXPECT_EQ(into.tile_accepted, 14u);
+  EXPECT_EQ(into.tile_pruned, 16u);
+  EXPECT_EQ(into.tiles_decided, 18u);
+  EXPECT_DOUBLE_EQ(into.tile_seconds, 1.0);
+  EXPECT_EQ(into.frontier_cache_hits, 20u);
+  // Timing, stop flags and status belong to the caller.
+  EXPECT_DOUBLE_EQ(into.seconds, 1.0);
+  EXPECT_TRUE(into.completed);
+  EXPECT_FALSE(into.deadline_expired);
+  EXPECT_FALSE(into.cancelled);
+  EXPECT_TRUE(into.status.ok());
+  MergeWorkCounters(nullptr, from);  // null target: no-op
 }
 
 // ---------------------------------------------------------------------------
 // RefinementStream
 // ---------------------------------------------------------------------------
+
+class RunnerTest : public ::testing::Test {
+ protected:
+  RunnerTest()
+      : bench_(GenerateMixture(CrimeSpec(0.002)), KernelType::kGaussian) {}
+
+  Workbench bench_;
+};
 
 TEST_F(RunnerTest, StreamTightensMonotonicallyToExact) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);

@@ -60,7 +60,8 @@ TEST(TauSweepPropertyTest, HotAreaIsMonotoneInTau) {
 
   size_t prev_hot = grid.num_pixels() + 1;
   for (double tau : TauSweep(stats)) {
-    BinaryFrame mask = RenderTauFrame(quad, grid, tau, nullptr);
+    BinaryFrame mask = RenderTauFrameParallel(quad, grid, tau, {}, nullptr, {},
+                                              nullptr);
     size_t hot = 0;
     for (uint8_t v : mask.values) hot += v;
     EXPECT_LE(hot, prev_hot) << "tau=" << tau;
@@ -75,9 +76,11 @@ TEST(TauSweepPropertyTest, HotSetIsNestedNotJustSmaller) {
   MeanStd stats = EstimateDensityStats(quad, grid, /*stride=*/2);
 
   BinaryFrame lo_mask =
-      RenderTauFrame(quad, grid, stats.mean - 0.2 * stats.stddev, nullptr);
+      RenderTauFrameParallel(quad, grid, stats.mean - 0.2 * stats.stddev, {},
+                             nullptr, {}, nullptr);
   BinaryFrame hi_mask =
-      RenderTauFrame(quad, grid, stats.mean + 0.2 * stats.stddev, nullptr);
+      RenderTauFrameParallel(quad, grid, stats.mean + 0.2 * stats.stddev, {},
+                             nullptr, {}, nullptr);
   for (size_t i = 0; i < lo_mask.values.size(); ++i) {
     if (hi_mask.values[i] != 0) {
       EXPECT_NE(lo_mask.values[i], 0) << "pixel " << i;
@@ -95,7 +98,7 @@ TEST(DeterminismTest, FramesAreBitIdenticalAcrossRuns) {
                     KernelType::kGaussian);
     PixelGrid grid(24, 18, bench.data_bounds());
     KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
-    return RenderEpsFrame(quad, grid, 0.01, nullptr);
+    return RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr, {}, nullptr);
   };
   DensityFrame a = run_once();
   DensityFrame b = run_once();
@@ -132,7 +135,8 @@ TEST(GammaScalingTest, SmallerBandwidthSharpensPeaks) {
     Workbench bench(PointSet(points), KernelType::kGaussian, options);
     PixelGrid grid(24, 18, bench.data_bounds());
     KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
-    DensityFrame frame = RenderEpsFrame(quad, grid, 0.01, nullptr);
+    DensityFrame frame = RenderEpsFrameParallel(quad, grid, 0.01, {}, nullptr,
+                                                {}, nullptr);
     MeanStd stats = ComputeMeanStd(frame.values);
     double peak = 0.0;
     for (double v : frame.values) peak = std::max(peak, v);
@@ -157,9 +161,11 @@ TEST_P(LeafSizeTest, TauMaskIndependentOfLeafSize) {
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
 
-  DensityFrame truth = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame truth = RenderExactFrameParallel(exact, grid, {}, nullptr, {},
+                                                nullptr);
   MeanStd stats = ComputeMeanStd(truth.values);
-  BinaryFrame mask = RenderTauFrame(quad, grid, stats.mean, nullptr);
+  BinaryFrame mask = RenderTauFrameParallel(quad, grid, stats.mean, {}, nullptr,
+                                            {}, nullptr);
   for (size_t i = 0; i < mask.values.size(); ++i) {
     if (std::abs(truth.values[i] - stats.mean) < 1e-12) continue;
     EXPECT_EQ(mask.values[i] != 0, truth.values[i] >= stats.mean);

@@ -7,8 +7,8 @@
 #include "data/datasets.h"
 #include "viz/color_map.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -237,9 +237,11 @@ TEST(RenderFrameTest, EpsFrameMatchesExactFrameWithinEps) {
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
 
-  DensityFrame exact_frame = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame exact_frame = RenderExactFrameParallel(exact, grid, {}, nullptr,
+                                                      {}, nullptr);
   BatchStats stats;
-  DensityFrame quad_frame = RenderEpsFrame(quad, grid, 0.01, &stats);
+  DensityFrame quad_frame = RenderEpsFrameParallel(quad, grid, 0.01, {},
+                                                   nullptr, {}, &stats);
 
   EXPECT_EQ(stats.queries, grid.num_pixels());
   EXPECT_GT(stats.seconds, 0.0);
@@ -254,13 +256,15 @@ TEST(RenderFrameTest, TauFrameMatchesExactThresholding) {
   KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
 
-  DensityFrame exact_frame = RenderExactFrame(exact, grid, nullptr);
+  DensityFrame exact_frame = RenderExactFrameParallel(exact, grid, {}, nullptr,
+                                                      {}, nullptr);
   // A tau in the interior of the value range.
   double tau = 0.0;
   for (double v : exact_frame.values) tau = std::max(tau, v);
   tau *= 0.3;
 
-  BinaryFrame tau_frame = RenderTauFrame(quad, grid, tau, nullptr);
+  BinaryFrame tau_frame = RenderTauFrameParallel(quad, grid, tau, {}, nullptr,
+                                                 {}, nullptr);
   for (size_t i = 0; i < tau_frame.values.size(); ++i) {
     if (std::abs(exact_frame.values[i] - tau) < 1e-12) continue;
     EXPECT_EQ(tau_frame.values[i] != 0, exact_frame.values[i] >= tau)

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "data/datasets.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -16,7 +16,8 @@ namespace {
 void ExpectFiniteFrame(Workbench& bench) {
   KdeEvaluator quad = bench.MakeEvaluator(Method::kQuad);
   PixelGrid grid(16, 12, bench.data_bounds());
-  DensityFrame frame = RenderEpsFrame(quad, grid, 0.05, nullptr);
+  DensityFrame frame = RenderEpsFrameParallel(quad, grid, 0.05, {}, nullptr, {},
+                                              nullptr);
   for (double v : frame.values) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GE(v, 0.0);

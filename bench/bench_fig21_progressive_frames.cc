@@ -33,7 +33,7 @@ int main() {
                 static_cast<unsigned long long>(r.pixels_evaluated),
                 grid.num_pixels(),
                 AverageRelativeError(r.frame.values, truth.values, floor),
-                path, r.completed ? " (completed)" : "");
+                path, r.stats.completed ? " (completed)" : "");
   }
   return 0;
 }

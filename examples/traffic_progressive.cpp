@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         "budget %.2fs: %6llu/%zu pixels evaluated, avg rel err %.4f%s\n",
         budget,
         static_cast<unsigned long long>(partial.pixels_evaluated),
-        grid.num_pixels(), err, partial.completed ? " (completed)" : "");
+        grid.num_pixels(), err, partial.stats.completed ? " (completed)" : "");
 
     char path[256];
     std::snprintf(path, sizeof(path), "%s_t%.2fs.ppm", prefix.c_str(),

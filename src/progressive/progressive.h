@@ -7,10 +7,14 @@
 // until refined. The user (or a Deadline / CancelToken) can stop at any time
 // t and keep a coarse-to-fine approximation of the full color map.
 //
-// Robustness contract: the returned frame is always fully painted and
-// finite, whatever stopped the run — an expired budget, a cancellation, a
-// numeric fault (clamped and counted), or an injected failpoint error
-// (reported in `status`).
+// Robustness contract: the returned frame is always finite, whatever stopped
+// the run — an expired budget, a cancellation, a numeric fault (clamped and
+// counted), or an injected failpoint error (reported in `stats.status`) —
+// and fully painted once the first representative was evaluated.
+//
+// The evaluation itself is the frame engine's (viz/parallel_render.h) run
+// over the schedule's pixel order, so progressive frames share its scratch
+// reuse, thread fan-out, tile-shared mode and frame metrics.
 #ifndef QUADKDV_PROGRESSIVE_PROGRESSIVE_H_
 #define QUADKDV_PROGRESSIVE_PROGRESSIVE_H_
 
@@ -20,9 +24,9 @@
 #include "core/evaluator.h"
 #include "core/kdv_runner.h"
 #include "util/cancel.h"
-#include "util/status.h"
-#include "util/timer.h"
+#include "util/thread_pool.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
 
 namespace kdv {
@@ -45,26 +49,38 @@ std::vector<RegionOp> QuadTreeSchedule(int width, int height);
 // baseline order, used in ablations.
 std::vector<RegionOp> RowMajorSchedule(int width, int height);
 
-// Result of a progressive render.
+// Result of a progressive render. Whether the schedule ran to completion or
+// why it stopped (deadline, cancellation, injected fault), and how many
+// pixel values were clamped, are read from `stats`.
 struct ProgressiveResult {
-  DensityFrame frame;             // fully painted, finite values
-  uint64_t pixels_evaluated = 0;  // distinct pixels given exact/ε values
-  bool completed = false;         // full schedule ran before a stop
-  bool deadline_expired = false;  // stopped by the deadline
-  bool cancelled = false;         // stopped by the CancelToken
-  uint64_t numeric_faults = 0;    // pixel values clamped by hardening
-  Status status;                  // non-OK iff an internal fault aborted
-  BatchStats stats;
+  DensityFrame frame;             // finite values
+  uint64_t pixels_evaluated = 0;  // distinct pixels given ε values
+  // Every pixel the schedule covers carries a value: the schedule ran to
+  // completion, or its first representative — whose region is the whole
+  // frame in a quad-tree schedule — was evaluated before the stop.
+  bool fully_painted = false;
+  BatchStats stats;  // the frame engine's, plus clamped non-finite values
 };
 
-// Runs the schedule under `control` (deadline + cancellation), evaluating
-// εKDV per representative pixel with the evaluator's method.
+// Runs the schedule under `control` (deadline + cancellation) on the frame
+// engine (viz/parallel_render.h): the schedule's representative pixels are
+// evaluated (εKDV, the evaluator's method) in first-visit order, fanned out
+// over `pool` per `options`; then every op whose representative was
+// evaluated paints the unevaluated pixels of its region, finer ops over
+// coarser ones (skipped when every pixel was evaluated). On one thread with
+// tile-sharing off, the frame cut short at any point is the one a serial
+// op-by-op run of the schedule stopped there paints. With tile-sharing the
+// engine keeps its chunk order over the whole grid and the paint pass fills
+// in whatever a stop left out.
 ProgressiveResult RenderProgressive(const KdeEvaluator& evaluator,
                                     const PixelGrid& grid, double eps,
                                     const QueryControl& control,
-                                    const std::vector<RegionOp>& schedule);
+                                    const std::vector<RegionOp>& schedule,
+                                    const RenderOptions& options,
+                                    Executor* pool);
 
-// Budget-seconds convenience forms (<= 0 means run to completion).
+// Budget-seconds convenience forms (<= 0 means run to completion), on one
+// thread with default RenderOptions.
 ProgressiveResult RenderProgressive(const KdeEvaluator& evaluator,
                                     const PixelGrid& grid, double eps,
                                     double budget_seconds,

@@ -217,7 +217,7 @@ class RenderService {
     // tiles back onto the request worker.
     int intra_frame_threads = 1;
     int tile_rows = 16;  // rows per tile work item (see viz/parallel_render.h)
-    // Shared-traversal tile refinement for the parallel certified path (see
+    // Shared-traversal tile refinement for the certified path (see
     // viz/parallel_render.h). Each epoch's renderer keeps its own frontier
     // cache, keyed by the epoch id, so progressive passes and repeated
     // viewport renders skip the per-tile region pass and a hot-swap can

@@ -6,7 +6,6 @@
 #include "progressive/progressive.h"
 #include "util/check.h"
 #include "util/failpoint.h"
-#include "util/mem_budget.h"
 #include "util/timer.h"
 
 namespace kdv {
@@ -220,108 +219,42 @@ RenderOutcome ResilientRenderer::Render(
   control.force_cancel = opts.force_cancel;
   control.heartbeat = opts.heartbeat;
 
-  // Tiled certified attempt: a tile-parallel εKDV frame on the same
-  // deadline. A clean completion is a certificate; anything cut short falls
-  // through to the serial progressive ladder below (sharing the deadline, so
-  // total budget is still honored). Taken when there is genuine fan-out
-  // (a pool and >1 threads) OR when tile-shared refinement is on — the
-  // shared region pass is a work reduction, not a parallelism play, so it
-  // pays at one thread too (the renderer runs bands inline on a null pool).
-  // Skipped under a progressive brownout cap: the attempt exists to win a
-  // certificate this render may not claim, and skipping it keeps the shared
+  // One anytime frame on the engine: certified if it completes cleanly,
+  // otherwise painted from whatever the deadline left evaluated. Under a
+  // progressive brownout cap it runs on the caller alone, keeping the shared
   // tile pool free for full-tier requests.
-  BatchStats parallel_stats;
-  const bool tried_parallel =
-      opts.max_tier == QualityTier::kCertified &&
-      (opts.parallel.tile_shared ||
-       (opts.tile_pool != nullptr &&
-        ResolveRenderThreads(opts.parallel.num_threads) > 1));
-  if (tried_parallel) {
-    // The tiled attempt materializes a second full frame alongside the
-    // outcome's; charge it for as long as both are alive.
-    ScopedMemCharge pframe_charge(
-        &MemBudget::Global(), MemSource::kFrameBuffers,
-        static_cast<uint64_t>(grid.width()) *
-            static_cast<uint64_t>(grid.height()) * sizeof(double));
-    RenderOptions parallel_opts = opts.parallel;
-    if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
-      parallel_opts.frontier_cache = &frontier_cache_;
-    }
-    Timer attempt_timer;
-    DensityFrame pframe =
-        RenderEpsFrameParallel(*evaluator_, grid, opts.eps, parallel_opts,
-                               opts.tile_pool, control, &parallel_stats);
-    // Split the attempt between the shared region passes (tile_seconds, CPU
-    // time summed by the tile workers) and everything else, which is the
-    // per-pixel refinement work.
-    const double attempt_seconds = attempt_timer.ElapsedSeconds();
-    const double refine_seconds =
-        std::max(0.0, attempt_seconds - parallel_stats.tile_seconds);
-    if (opts.trace != nullptr) {
-      opts.trace->AddStage(obs::TraceStage::kTilePass,
-                           parallel_stats.tile_seconds);
-      opts.trace->AddStage(obs::TraceStage::kRefinement, refine_seconds);
-    }
-    RenderObs::Get().tile_pass_seconds->Record(parallel_stats.tile_seconds);
-    RenderObs::Get().refinement_seconds->Record(refine_seconds);
-    outcome.numeric_faults += parallel_stats.numeric_faults;
-    outcome.deadline_expired |= parallel_stats.deadline_expired;
-    outcome.cancelled |= parallel_stats.cancelled;
-
-    if (parallel_stats.cancelled) {
-      outcome.stats = parallel_stats;
-      outcome.frame = std::move(pframe);
-      outcome.tier = parallel_stats.queries > 0 ? QualityTier::kProgressive
-                                                : QualityTier::kFlat;
-      RecordFault(&outcome, CancelledError("render cancelled"));
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    if (!parallel_stats.status.ok()) {
-      // Internal/injected fault in the parallel certified path: same
-      // degradation (and breaker/retry visibility) as a progressive-path
-      // fault.
-      outcome.stats = parallel_stats;
-      RecordFault(&outcome, parallel_stats.status);
-      if (opts.degrade) RenderCoarse(grid, opts, &outcome);
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    if (parallel_stats.completed) {
-      outcome.stats = parallel_stats;
-      outcome.frame = std::move(pframe);
-      if (parallel_stats.numeric_faults == 0) {
-        outcome.tier = QualityTier::kCertified;
-        outcome.certified_eps = opts.eps;
-      } else {
-        // Fully painted but clamped somewhere: usable, no certificate.
-        outcome.tier = QualityTier::kProgressive;
-      }
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    // Deadline fired mid-frame: the tiled frame has unclaimed holes; let the
-    // progressive ladder paint a complete (coarser) one on what remains.
+  RenderOptions parallel_opts = opts.parallel;
+  if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
+    parallel_opts.frontier_cache = &frontier_cache_;
   }
-
+  Executor* pool =
+      opts.max_tier == QualityTier::kCertified ? opts.tile_pool : nullptr;
   Timer prog_timer;
   ProgressiveResult prog = RenderProgressive(
       *evaluator_, grid, opts.eps, control,
-      QuadTreeSchedule(grid.width(), grid.height()));
-  const double prog_seconds = prog_timer.ElapsedSeconds();
-  if (opts.trace != nullptr) {
-    opts.trace->AddStage(obs::TraceStage::kRefinement, prog_seconds);
+      QuadTreeSchedule(grid.width(), grid.height()), parallel_opts, pool);
+  // Split the time between the shared region passes (tile_seconds, CPU time
+  // summed by the tile workers) and everything else, which is the per-pixel
+  // refinement work.
+  const double refine_seconds =
+      std::max(0.0, prog_timer.ElapsedSeconds() - prog.stats.tile_seconds);
+  if (parallel_opts.tile_shared) {
+    RenderObs::Get().tile_pass_seconds->Record(prog.stats.tile_seconds);
+    if (opts.trace != nullptr) {
+      opts.trace->AddStage(obs::TraceStage::kTilePass,
+                           prog.stats.tile_seconds);
+    }
   }
-  RenderObs::Get().refinement_seconds->Record(prog_seconds);
+  RenderObs::Get().refinement_seconds->Record(refine_seconds);
+  if (opts.trace != nullptr) {
+    opts.trace->AddStage(obs::TraceStage::kRefinement, refine_seconds);
+  }
   outcome.stats = prog.stats;
-  // Work spent in the abandoned tiled attempt still counts (all zero when
-  // it was not tried).
-  MergeWorkCounters(&outcome.stats, parallel_stats);
-  outcome.numeric_faults += prog.numeric_faults;
-  outcome.deadline_expired |= prog.deadline_expired;
-  outcome.cancelled |= prog.cancelled;
+  outcome.numeric_faults += prog.stats.numeric_faults;
+  outcome.deadline_expired |= prog.stats.deadline_expired;
+  outcome.cancelled |= prog.stats.cancelled;
 
-  if (prog.cancelled) {
+  if (prog.stats.cancelled) {
     // A cancelled request is never "served": keep whatever frame exists but
     // report the cancellation.
     outcome.frame = std::move(prog.frame);
@@ -332,15 +265,15 @@ RenderOutcome ResilientRenderer::Render(
     return outcome;
   }
 
-  if (!prog.status.ok()) {
+  if (!prog.stats.status.ok()) {
     // Internal/injected fault in the certified path.
-    RecordFault(&outcome, prog.status);
+    RecordFault(&outcome, prog.stats.status);
     if (opts.degrade) RenderCoarse(grid, opts, &outcome);
     Finalize(opts, &outcome);
     return outcome;
   }
 
-  if (prog.completed && prog.numeric_faults == 0) {
+  if (prog.stats.completed && prog.stats.numeric_faults == 0) {
     outcome.frame = std::move(prog.frame);
     outcome.tier = QualityTier::kCertified;
     outcome.certified_eps = opts.eps;
@@ -349,7 +282,7 @@ RenderOutcome ResilientRenderer::Render(
     return outcome;
   }
 
-  if (prog.completed || prog.pixels_evaluated > 0) {
+  if (prog.fully_painted) {
     // Fully painted but either clamped somewhere or cut short: a usable
     // frame without a certificate.
     outcome.frame = std::move(prog.frame);
@@ -361,7 +294,7 @@ RenderOutcome ResilientRenderer::Render(
     return outcome;
   }
 
-  // Deadline fired before a single pixel was refined.
+  // Deadline fired before the frame's first representative was refined.
   if (!opts.degrade) {
     RecordFault(&outcome, DeadlineExceededError("render budget exhausted"));
     Finalize(opts, &outcome);

@@ -1,15 +1,21 @@
 // Resilient render front-end: QUAD under a budget, with graceful degradation.
 //
-// The guaranteed-bound path (RenderProgressive over the quad-tree schedule)
-// is the primary renderer. When it cannot finish — deadline expired, fault
-// injected, numeric trouble — the ResilientRenderer walks a degradation
-// ladder instead of failing the request:
+// The guaranteed-bound path is one RenderProgressive call: the frame engine
+// (viz/parallel_render.h) run over the quad-tree schedule's pixel order on
+// the request's intra-frame threads. A frame it completes cleanly is
+// certified; when it cannot finish — deadline expired, fault injected,
+// numeric trouble — the ResilientRenderer walks a degradation ladder instead
+// of failing the request:
 //
 //   1. kCertified    full εKDV frame, every pixel within the requested ε.
 //   2. kProgressive  partially refined quad-tree frame: fully painted and
-//                    finite, coarse where refinement did not reach.
+//                    finite, coarse where refinement did not reach. Needs
+//                    the schedule's first representative (the frame
+//                    centre) to have been evaluated, at any thread count.
 //   3. kCoarse       GridKde (binned convolution) frame: no error guarantee,
-//                    but a recognizable density map.
+//                    but a recognizable density map. Served when the stop
+//                    came before the frame centre was evaluated, or on a
+//                    fault in the certified path.
 //   4. kFlat         all-zero frame. Returned only when even the coarse
 //                    path is unavailable (injected fault, non-2d data).
 //
@@ -78,29 +84,27 @@ struct ResilientRenderOptions {
 
   // Best tier the render is allowed to claim/attempt — the brownout
   // governor's lever. kCertified (default): full ladder. kProgressive: the
-  // parallel certified fan-out is skipped and a completed frame ships as
-  // kProgressive with no ε certificate (the refinement work still honors
-  // `eps`, which the governor raises alongside this cap). kCoarse or
-  // kFlat: straight to the GridKde fallback, as RenderCoarseOnly.
+  // frame renders on the calling thread alone (tile_pool is not used) and a
+  // completed frame ships as kProgressive with no ε certificate (the
+  // refinement work still honors `eps`, which the governor raises alongside
+  // this cap). kCoarse or kFlat: straight to the GridKde fallback, as
+  // RenderCoarseOnly.
   QualityTier max_tier = QualityTier::kCertified;
 
   // Options for the GridKde coarse fallback.
   GridKde::Options coarse;
 
-  // Intra-frame parallelism of the certified path. When `tile_pool` is set
-  // and `parallel.num_threads` resolves above 1 — or whenever
-  // `parallel.tile_shared` is on, which pays as a work reduction even
-  // single-threaded — Render() first attempts a tile-parallel whole-frame
-  // εKDV render (viz/parallel_render.h) on the
-  // remaining budget; a frame that completes cleanly ships as kCertified.
-  // If the budget (or a cancellation/fault) cuts the tiled frame short, the
-  // renderer falls through to the serial progressive ladder, which degrades
-  // to a fully painted frame instead of one with unclaimed-tile holes.
-  // The pool is borrowed, never owned, and must outlive the call.
+  // Intra-frame parallelism of the certified path: the progressive frame is
+  // fanned out over `tile_pool` at `parallel.num_threads` (viz/
+  // parallel_render.h), and `parallel.tile_shared` turns on shared-traversal
+  // chunks, which pay as a work reduction even single-threaded. The budget
+  // covers the one frame; a frame cut short is painted from the pixels it
+  // evaluated, whatever the thread count. The pool is borrowed, never owned,
+  // and must outlive the call.
   // When parallel.tile_shared is on and parallel.frontier_cache is null, the
   // renderer substitutes its own cross-frame FrontierCache, so repeated
-  // renders of one viewport (progressive passes, pan-and-return) skip the
-  // tile region pass. parallel.cache_epoch should carry the serving epoch id.
+  // renders of one viewport (pan-and-return) skip the tile region pass.
+  // parallel.cache_epoch should carry the serving epoch id.
   RenderOptions parallel;
   Executor* tile_pool = nullptr;
 
@@ -128,7 +132,7 @@ struct RenderOutcome {
   // internal/injected faults (which may still ship a degraded frame).
   Status status = OkStatus();
 
-  // Stats of the certified-path attempt (zeroed if it was skipped).
+  // Stats of the certified-path frame (zeroed if it was skipped).
   BatchStats stats;
 
   bool ok() const { return status.ok(); }
@@ -175,7 +179,7 @@ class ResilientRenderer {
   const KdeEvaluator* evaluator_;
 
   // Cross-frame tile-shared frontier cache (viz/frontier_cache.h), used by
-  // the parallel certified path when the caller enables tile_shared without
+  // the certified path when the caller enables tile_shared without
   // supplying a cache of their own. Internally synchronized.
   mutable FrontierCache frontier_cache_;
 

@@ -84,8 +84,8 @@ const std::vector<std::string>& AllSites() {
       "runner.tau",          // frame engine per-pixel τKDV
       "runner.exact",        // frame engine per-pixel exact KDV
       "progressive.render",  // RenderProgressive entry
-      "progressive.op",      // RenderProgressive per-region-op
-      "viz.render",          // whole-frame render entry (eps/tau/exact)
+      "progressive.op",      // frame engine per-pixel progressive εKDV
+      "viz.render",          // Render*FrameParallel entry (eps/tau/exact)
       "serve.render",        // ResilientRenderer::Render entry
       "serve.coarse",        // ResilientRenderer coarse (GridKde) stage
       "io.write",            // atomic/journal writes: short write, then fail

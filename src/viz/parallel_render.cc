@@ -70,6 +70,15 @@ struct FrameJob {
   const QueryControl* control = nullptr;
   const char* failpoint_site = nullptr;
 
+  // Pixel order (null: row-major). Work item i is its positions
+  // [i * item_pixels, (i + 1) * item_pixels), so row-major items are the
+  // tile_rows bands.
+  const std::vector<uint32_t>* order = nullptr;
+  size_t num_positions = 0;
+  size_t item_pixels = 1;
+  // Optional mask: 1 for every pixel whose value a worker wrote.
+  uint8_t* evaluated = nullptr;
+
   uint32_t tile_rows = 1;
   uint32_t num_tiles = 0;
 
@@ -121,7 +130,8 @@ bool PixelPreamble(FrameJob& job, BatchStats& ts) {
   return true;
 }
 
-// Evaluates one band of rows. EvalPixel is
+// Evaluates one work item: a contiguous range of the pixel order. EvalPixel
+// is
 //   Value (const Point& q, RefinementStream& scratch, BatchStats* ts,
 //          bool* interrupted)
 // — one per-pixel evaluation, recorded through AccumulateQueryStats.
@@ -130,21 +140,21 @@ void ProcessTile(FrameJob& job, uint32_t tile, Value* values,
                  RefinementStream& scratch, const EvalPixel& eval) {
   BatchStats& ts = job.tile_stats[tile];
   const PixelGrid& grid = *job.grid;
-  const int height = grid.height();
-  const int row_begin = static_cast<int>(tile * job.tile_rows);
-  const int row_end =
-      std::min<int>(row_begin + static_cast<int>(job.tile_rows), height);
-  for (int py = row_begin; py < row_end; ++py) {
-    for (int px = 0; px < grid.width(); ++px) {
-      if (!PixelPreamble(job, ts)) return;
-      bool interrupted = false;
-      values[grid.PixelIndex(px, py)] =
-          eval(grid.PixelCenter(px, py), scratch, &ts, &interrupted);
-      if (interrupted) {
-        MarkTileStopped(&ts, job.control->CheckStop());
-        job.stop.store(true, std::memory_order_relaxed);
-        return;
-      }
+  const size_t width = static_cast<size_t>(grid.width());
+  const size_t begin = tile * job.item_pixels;
+  const size_t end = std::min(begin + job.item_pixels, job.num_positions);
+  for (size_t pos = begin; pos < end; ++pos) {
+    if (!PixelPreamble(job, ts)) return;
+    const size_t idx = job.order != nullptr ? (*job.order)[pos] : pos;
+    bool interrupted = false;
+    values[idx] = eval(grid.PixelCenter(static_cast<int>(idx % width),
+                                        static_cast<int>(idx / width)),
+                       scratch, &ts, &interrupted);
+    if (job.evaluated != nullptr) job.evaluated[idx] = 1;
+    if (interrupted) {
+      MarkTileStopped(&ts, job.control->CheckStop());
+      job.stop.store(true, std::memory_order_relaxed);
+      return;
     }
   }
 }
@@ -203,7 +213,9 @@ void ProcessTileShared(FrameJob& job, uint32_t tile, Value* values,
       const Value fill = decided_val(*tf);
       for (int py = row_begin; py < row_end; ++py) {
         for (int px = col_begin; px < col_end; ++px) {
-          values[grid.PixelIndex(px, py)] = fill;
+          const size_t idx = grid.PixelIndex(px, py);
+          values[idx] = fill;
+          if (job.evaluated != nullptr) job.evaluated[idx] = 1;
         }
       }
       ts.queries += static_cast<uint64_t>(row_end - row_begin) *
@@ -216,11 +228,13 @@ void ProcessTileShared(FrameJob& job, uint32_t tile, Value* values,
         if (!PixelPreamble(job, ts)) return;
         bool interrupted = false;
         const Point q = grid.PixelCenter(px, py);
+        const size_t idx = grid.PixelIndex(px, py);
         // An invalid frontier (region pass hit a numeric fault) falls back
         // to root-seeded per-pixel refinement for the whole chunk.
-        values[grid.PixelIndex(px, py)] =
-            tf->valid ? eval_seeded(q, *tf, scratch, &ts, &interrupted)
-                      : eval(q, scratch, &ts, &interrupted);
+        values[idx] = tf->valid
+                          ? eval_seeded(q, *tf, scratch, &ts, &interrupted)
+                          : eval(q, scratch, &ts, &interrupted);
+        if (job.evaluated != nullptr) job.evaluated[idx] = 1;
         if (interrupted) {
           MarkTileStopped(&ts, job.control->CheckStop());
           job.stop.store(true, std::memory_order_relaxed);
@@ -270,17 +284,23 @@ std::shared_ptr<FrameJob> MakeFrameJob(const KdeEvaluator& evaluator,
                                        const PixelGrid& grid,
                                        const RenderOptions& options,
                                        const QueryControl& control,
-                                       const char* failpoint_site) {
+                                       const char* failpoint_site,
+                                       const std::vector<uint32_t>* order =
+                                           nullptr,
+                                       uint8_t* evaluated = nullptr) {
   auto job = std::make_shared<FrameJob>();
   job->evaluator = &evaluator;
   job->grid = &grid;
   job->control = &control;
   job->failpoint_site = failpoint_site;
+  job->order = order;
+  job->evaluated = evaluated;
   job->tile_rows =
       static_cast<uint32_t>(std::clamp(options.tile_rows, 1, grid.height()));
-  job->num_tiles =
-      (static_cast<uint32_t>(grid.height()) + job->tile_rows - 1) /
-      job->tile_rows;
+  job->num_positions = order != nullptr ? order->size() : grid.num_pixels();
+  job->item_pixels = static_cast<size_t>(job->tile_rows) * grid.width();
+  job->num_tiles = static_cast<uint32_t>(
+      (job->num_positions + job->item_pixels - 1) / job->item_pixels);
   job->tile_stats.resize(job->num_tiles);
   return job;
 }
@@ -395,23 +415,18 @@ bool TileSharedApplies(const KdeEvaluator& evaluator,
          evaluator.tree().dim() == 2;
 }
 
-}  // namespace
-
-int ResolveRenderThreads(int num_threads) {
-  if (num_threads > 0) return num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-DensityFrame RenderEpsFrameParallel(const KdeEvaluator& evaluator,
-                                    const PixelGrid& grid, double eps,
-                                    const RenderOptions& options,
-                                    Executor* pool,
-                                    const QueryControl& control,
-                                    BatchStats* stats) {
+// The εKDV frame body behind RenderEpsFrameParallel (row-major, order null)
+// and RenderEpsFrameInOrder. Tile-shared mode keeps its band/chunk order.
+DensityFrame RenderEps(const KdeEvaluator& evaluator, const PixelGrid& grid,
+                       double eps, const std::vector<uint32_t>* order,
+                       const char* failpoint_site,
+                       const RenderOptions& options, Executor* pool,
+                       const QueryControl& control, BatchStats* stats,
+                       uint8_t* evaluated) {
   DensityFrame frame(grid.width(), grid.height());
-  if (EntryFault(stats)) return frame;
-  auto job = MakeFrameJob(evaluator, grid, options, control, "runner.eps");
+  const bool shared = TileSharedApplies(evaluator, options);
+  auto job = MakeFrameJob(evaluator, grid, options, control, failpoint_site,
+                          shared ? nullptr : order, evaluated);
   auto eval = [&evaluator, eps, &control](const Point& q,
                                           RefinementStream& scratch,
                                           BatchStats* ts, bool* interrupted) {
@@ -420,7 +435,7 @@ DensityFrame RenderEpsFrameParallel(const KdeEvaluator& evaluator,
     *interrupted = r.interrupted;
     return r.estimate;
   };
-  if (!TileSharedApplies(evaluator, options)) {
+  if (!shared) {
     RunFrameJob(job, options, pool, stats, &frame.values,
                 [eval](FrameJob& j, uint32_t tile, double* values,
                        RefinementStream& scratch) {
@@ -452,6 +467,38 @@ DensityFrame RenderEpsFrameParallel(const KdeEvaluator& evaluator,
               });
   PublishFrontiers(job, options, key);
   return frame;
+}
+
+}  // namespace
+
+int ResolveRenderThreads(int num_threads) {
+  if (num_threads > 0) return num_threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+DensityFrame RenderEpsFrameParallel(const KdeEvaluator& evaluator,
+                                    const PixelGrid& grid, double eps,
+                                    const RenderOptions& options,
+                                    Executor* pool,
+                                    const QueryControl& control,
+                                    BatchStats* stats) {
+  if (EntryFault(stats)) return DensityFrame(grid.width(), grid.height());
+  return RenderEps(evaluator, grid, eps, /*order=*/nullptr, "runner.eps",
+                   options, pool, control, stats, /*evaluated=*/nullptr);
+}
+
+DensityFrame RenderEpsFrameInOrder(const KdeEvaluator& evaluator,
+                                   const PixelGrid& grid, double eps,
+                                   const std::vector<uint32_t>& order,
+                                   const RenderOptions& options,
+                                   Executor* pool,
+                                   const QueryControl& control,
+                                   BatchStats* stats,
+                                   std::vector<uint8_t>* evaluated) {
+  evaluated->assign(grid.num_pixels(), 0);
+  return RenderEps(evaluator, grid, eps, &order, "progressive.op", options,
+                   pool, control, stats, evaluated->data());
 }
 
 BinaryFrame RenderTauFrameParallel(const KdeEvaluator& evaluator,

@@ -1,8 +1,12 @@
-// The frame engine: the one code path that renders a whole εKDV / τKDV /
-// exact KDV frame, on one thread or many.
+// The frame engine: the one code path that evaluates frame pixels — whole
+// εKDV / τKDV / exact KDV frames and progressive ones — on one thread or
+// many.
 //
-// The pixel grid is split into horizontal bands of `tile_rows` rows; workers
-// claim bands off a shared atomic counter and evaluate their pixels with a
+// A work item is a contiguous range of a pixel order, tile_rows * width
+// pixels long. Render*FrameParallel use row-major order, whose items are the
+// horizontal bands of `tile_rows` rows; RenderEpsFrameInOrder takes the order
+// from its caller (the progressive schedule's). Workers claim items off a
+// shared atomic counter, front to back, and evaluate their pixels with a
 // per-worker reusable RefinementStream (zero allocations after warm-up).
 // The caller thread always participates in tile processing, so a frame makes
 // progress even when the helper pool is saturated or absent — with a null
@@ -13,11 +17,12 @@
 // Determinism: pixels are independent queries and every worker runs the
 // same per-pixel evaluation as a fresh-stream KdeEvaluator::EvaluateEps /
 // EvaluateTau / EvaluateExact call, so a completed frame is bit-identical to
-// per-pixel evaluation for any thread count and tile size. Tile stats are
-// merged in tile-index order, so the aggregate BatchStats counters are
+// per-pixel evaluation for any thread count, tile size and order. Tile stats
+// are merged in tile-index order, so the aggregate BatchStats counters are
 // deterministic too (seconds excepted).
 //
-// Tile-shared mode (RenderOptions::tile_shared) amortizes the tree traversal
+// Tile-shared mode (RenderOptions::tile_shared) keeps row bands cut into
+// column chunks whatever the order, and amortizes the tree traversal
 // across the pixels of each tile chunk with one region-bound pass
 // (core/tile_refiner.h) and seeds every pixel's stream from the shared
 // frontier. Frames remain deterministic for any thread count (the chunk pass
@@ -32,13 +37,17 @@
 //     back with completed=false and the deadline_expired/cancelled flags
 //     set. Tiles not yet claimed are abandoned and their pixels keep 0.
 //   * The per-pixel failpoint sites ("runner.eps" / "runner.tau" /
-//     "runner.exact") fire before every pixel, and the whole-frame entry
-//     site ("viz.render") before any work; an injected error stops the
-//     frame with BatchStats::status set.
+//     "runner.exact"; "progressive.op" in RenderEpsFrameInOrder) fire before
+//     every pixel, and Render*FrameParallel's whole-frame entry site
+//     ("viz.render") before any work; an injected error stops the frame
+//     with BatchStats::status set.
 //   * Every evaluated pixel is recorded through AccumulateQueryStats and the
 //     per-tile stats are summed with MergeWorkCounters (core/kdv_runner.h).
 #ifndef QUADKDV_VIZ_PARALLEL_RENDER_H_
 #define QUADKDV_VIZ_PARALLEL_RENDER_H_
+
+#include <cstdint>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/kdv_runner.h"
@@ -87,18 +96,40 @@ struct RenderOptions {
 // otherwise the value itself (clamped to >= 1).
 int ResolveRenderThreads(int num_threads);
 
-// εKDV over the whole grid, fanned out over `pool`. `pool` may be nullptr
-// and `stats` may be nullptr; helpers beyond the caller are submitted with
-// TrySubmit, so an exhausted pool sheds work back onto the caller instead of
-// blocking. The pool must not be the one executing the calling task when
-// that pool has a bounded queue sized below num_threads (the caller
-// participates, so no completion deadlock is possible either way).
+// εKDV over the whole grid in row-major order, fanned out over `pool`.
+// `pool` may be nullptr and `stats` may be nullptr; helpers beyond the
+// caller are submitted with TrySubmit, so an exhausted pool sheds work back
+// onto the caller instead of blocking. The pool must not be the one
+// executing the calling task when that pool has a bounded queue sized below
+// num_threads (the caller participates, so no completion deadlock is
+// possible either way).
 DensityFrame RenderEpsFrameParallel(const KdeEvaluator& evaluator,
                                     const PixelGrid& grid, double eps,
                                     const RenderOptions& options,
                                     Executor* pool,
                                     const QueryControl& control,
                                     BatchStats* stats);
+
+// The anytime form of RenderEpsFrameParallel, the engine under
+// RenderProgressive (progressive/progressive.h): evaluates the pixels of
+// `order` (row-major pixel indices, each at most once), work items being
+// contiguous ranges of it claimed front to back, so on one thread a frame
+// cut short has evaluated a prefix of `order`. `evaluated` (required) is
+// resized to the grid and gets 1 for exactly the pixels whose value the
+// engine wrote — by refinement, by a refinement interrupted by the stop
+// (its wider-interval estimate is kept), or by a decided tile-shared chunk;
+// every other pixel is 0 in both the frame and the mask. When tile-sharing
+// applies the band/chunk order is kept and `order` is ignored (the whole
+// grid is the work). The per-pixel failpoint site is "progressive.op"; no
+// entry site fires ("progressive.render" is RenderProgressive's).
+DensityFrame RenderEpsFrameInOrder(const KdeEvaluator& evaluator,
+                                   const PixelGrid& grid, double eps,
+                                   const std::vector<uint32_t>& order,
+                                   const RenderOptions& options,
+                                   Executor* pool,
+                                   const QueryControl& control,
+                                   BatchStats* stats,
+                                   std::vector<uint8_t>* evaluated);
 
 // τKDV over the whole grid.
 BinaryFrame RenderTauFrameParallel(const KdeEvaluator& evaluator,

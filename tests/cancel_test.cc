@@ -131,9 +131,9 @@ TEST_F(ControlPropagationTest, ProgressiveReportsCancellation) {
 
   ProgressiveResult r = RenderProgressive(
       quad, grid_, 0.01, control,
-      QuadTreeSchedule(grid_.width(), grid_.height()));
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_FALSE(r.completed);
+      QuadTreeSchedule(grid_.width(), grid_.height()), {}, nullptr);
+  EXPECT_TRUE(r.stats.cancelled);
+  EXPECT_FALSE(r.stats.completed);
   EXPECT_EQ(r.pixels_evaluated, 0u);
   EXPECT_EQ(ScrubNonFinite(&r.frame), 0u);  // fully painted, finite
 }

@@ -122,7 +122,7 @@ TEST_F(IntegrationTest, ProgressiveQuadReachesEpsQuality) {
                                                 nullptr);
 
   ProgressiveResult full = RenderProgressive(quad, grid, 0.01, 0.0);
-  ASSERT_TRUE(full.completed);
+  ASSERT_TRUE(full.stats.completed);
   EXPECT_LE(MaxRelativeError(full.frame.values, truth.values, 1e-12),
             0.0101);
 }

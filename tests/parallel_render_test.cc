@@ -173,6 +173,24 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
   EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
   EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
   EXPECT_EQ(stats.numeric_faults, ref_stats.numeric_faults);
+
+  // The same frame through a caller-given pixel order (reversed row-major)
+  // is the same bytes and work, and marks every pixel evaluated.
+  std::vector<uint32_t> order(grid.num_pixels());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(order.size() - 1 - i);
+  }
+  BatchStats ordered_stats;
+  std::vector<uint8_t> evaluated;
+  DensityFrame ordered =
+      RenderEpsFrameInOrder(evaluator, grid, 0.05, order, options, &pool,
+                            QueryControl(), &ordered_stats, &evaluated);
+  EXPECT_TRUE(FramesBitIdentical(reference, ordered.values));
+  EXPECT_TRUE(ordered_stats.completed);
+  EXPECT_EQ(ordered_stats.queries, ref_stats.queries);
+  EXPECT_EQ(ordered_stats.iterations, ref_stats.iterations);
+  EXPECT_EQ(ordered_stats.nodes_visited, ref_stats.nodes_visited);
+  EXPECT_EQ(evaluated, std::vector<uint8_t>(grid.num_pixels(), 1));
 }
 
 TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToPerPixel) {

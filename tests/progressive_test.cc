@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +73,38 @@ TEST(RowMajorScheduleTest, OnePixelPerOpInOrder) {
 // Progressive rendering
 // ---------------------------------------------------------------------------
 
+// The serial op-by-op loop RenderProgressive ran before it moved onto the
+// frame engine, kept as the oracle for its frames: each op evaluates its
+// representative once (fresh stream, no control), then paints it over the
+// pixels of its region not yet evaluated.
+DensityFrame OpByOpProgressive(const KdeEvaluator& evaluator,
+                               const PixelGrid& grid, double eps,
+                               const std::vector<RegionOp>& schedule,
+                               uint64_t* pixels_evaluated) {
+  DensityFrame frame(grid.width(), grid.height());
+  std::vector<uint8_t> evaluated(grid.num_pixels(), 0);
+  *pixels_evaluated = 0;
+  for (const RegionOp& op : schedule) {
+    const size_t center = grid.PixelIndex(op.cx, op.cy);
+    if (!evaluated[center]) {
+      double v = evaluator
+                     .EvaluateEps(grid.PixelCenter(op.cx, op.cy), eps,
+                                  QueryControl())
+                     .estimate;
+      frame.values[center] = std::isfinite(v) ? v : 0.0;
+      evaluated[center] = 1;
+      ++*pixels_evaluated;
+    }
+    for (int y = op.y0; y < op.y1; ++y) {
+      for (int x = op.x0; x < op.x1; ++x) {
+        const size_t idx = grid.PixelIndex(x, y);
+        if (!evaluated[idx]) frame.values[idx] = frame.values[center];
+      }
+    }
+  }
+  return frame;
+}
+
 class ProgressiveRenderTest : public ::testing::Test {
  protected:
   ProgressiveRenderTest()
@@ -84,7 +118,8 @@ class ProgressiveRenderTest : public ::testing::Test {
 TEST_F(ProgressiveRenderTest, UnboundedRunEvaluatesEveryPixel) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   ProgressiveResult result = RenderProgressive(quad, grid_, 0.01, 0.0);
-  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(result.stats.completed);
+  EXPECT_TRUE(result.fully_painted);
   EXPECT_EQ(result.pixels_evaluated, grid_.num_pixels());
 
   // Completed progressive frame equals the plain εKDV frame.
@@ -103,8 +138,8 @@ TEST_F(ProgressiveRenderTest, CompletedRunCountsWorkLikeTheFrameEngine) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   ProgressiveResult result = RenderProgressive(
       quad, grid_, 0.01, QueryControl(),
-      QuadTreeSchedule(grid_.width(), grid_.height()));
-  ASSERT_TRUE(result.completed);
+      QuadTreeSchedule(grid_.width(), grid_.height()), {}, nullptr);
+  ASSERT_TRUE(result.stats.completed);
 
   BatchStats engine;
   RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr, {}, &engine);
@@ -119,7 +154,6 @@ TEST_F(ProgressiveRenderTest, CompletedRunCountsWorkLikeTheFrameEngine) {
 TEST_F(ProgressiveRenderTest, TinyBudgetProducesPartialResult) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   ProgressiveResult result = RenderProgressive(quad, grid_, 0.01, 1e-9);
-  EXPECT_FALSE(result.completed);
   EXPECT_LT(result.pixels_evaluated, grid_.num_pixels());
   EXPECT_FALSE(result.stats.completed);
 }
@@ -155,9 +189,39 @@ TEST_F(ProgressiveRenderTest, PartialFrameHasNoUntouchedPixels) {
   std::vector<RegionOp> prefix(schedule.begin(), schedule.begin() + 1);
   ProgressiveResult r = RenderProgressive(quad, grid_, 0.01, 0.0, prefix);
   EXPECT_EQ(r.pixels_evaluated, 1u);
+  EXPECT_TRUE(r.fully_painted);
   double v = r.frame.values[grid_.PixelIndex(grid_.width() / 2,
                                              grid_.height() / 2)];
   for (double val : r.frame.values) EXPECT_DOUBLE_EQ(val, v);
+
+  // Prefix frames at quad-tree level boundaries, half and all of the
+  // schedule, and a row-major prefix, are bitwise the op-by-op loop's.
+  std::vector<RegionOp> row_major =
+      RowMajorSchedule(grid_.width(), grid_.height());
+  std::vector<std::vector<RegionOp>> prefixes;
+  for (size_t ops : {size_t{1}, size_t{5}, size_t{21}, size_t{85},
+                     schedule.size() / 2, schedule.size()}) {
+    prefixes.emplace_back(schedule.begin(), schedule.begin() + ops);
+  }
+  prefixes.emplace_back(row_major.begin(),
+                        row_major.begin() + row_major.size() / 3);
+  for (const std::vector<RegionOp>& ops : prefixes) {
+    SCOPED_TRACE("prefix of " + std::to_string(ops.size()) + " ops");
+    uint64_t want_evaluated = 0;
+    DensityFrame want =
+        OpByOpProgressive(quad, grid_, 0.01, ops, &want_evaluated);
+    ProgressiveResult got = RenderProgressive(quad, grid_, 0.01, 0.0, ops);
+    EXPECT_EQ(got.pixels_evaluated, want_evaluated);
+    EXPECT_EQ(got.stats.queries, want_evaluated);
+    ASSERT_EQ(got.frame.values.size(), want.values.size());
+    for (size_t i = 0; i < want.values.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got.frame.values[i], &want.values[i],
+                            sizeof(double)),
+                0)
+          << "pixel " << i << ": " << got.frame.values[i]
+          << " != " << want.values[i];
+    }
+  }
 }
 
 TEST_F(ProgressiveRenderTest, MaxErrorIsMonotoneAcrossCheckpoints) {
@@ -197,9 +261,10 @@ TEST_F(ProgressiveRenderTest, ExpiredBudgetStillPaintsEveryPixelFinite) {
   control.deadline = &expired;
   ProgressiveResult r = RenderProgressive(
       quad, grid_, 0.01, control,
-      QuadTreeSchedule(grid_.width(), grid_.height()));
-  EXPECT_FALSE(r.completed);
-  EXPECT_TRUE(r.deadline_expired);
+      QuadTreeSchedule(grid_.width(), grid_.height()), {}, nullptr);
+  EXPECT_FALSE(r.stats.completed);
+  EXPECT_TRUE(r.stats.deadline_expired);
+  EXPECT_FALSE(r.fully_painted);
   EXPECT_EQ(r.pixels_evaluated, 0u);
   ASSERT_EQ(r.frame.values.size(), grid_.num_pixels());
   for (double v : r.frame.values) {
@@ -211,11 +276,11 @@ TEST_F(ProgressiveRenderTest, ExpiredBudgetStillPaintsEveryPixelFinite) {
 TEST_F(ProgressiveRenderTest, WorksWithExactAndSamplingEvaluators) {
   KdeEvaluator exact = bench_.MakeEvaluator(Method::kExact);
   ProgressiveResult r1 = RenderProgressive(exact, grid_, 0.01, 0.0);
-  EXPECT_TRUE(r1.completed);
+  EXPECT_TRUE(r1.stats.completed);
 
   KdeEvaluator zorder = bench_.MakeZorderEvaluator(0.05);
   ProgressiveResult r2 = RenderProgressive(zorder, grid_, 0.05, 0.0);
-  EXPECT_TRUE(r2.completed);
+  EXPECT_TRUE(r2.stats.completed);
   EXPECT_EQ(r2.pixels_evaluated, grid_.num_pixels());
 }
 

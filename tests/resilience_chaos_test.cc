@@ -9,13 +9,16 @@
 #include "serve/resilient_renderer.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/datasets.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -40,17 +43,41 @@ class ResilientRendererTest : public ::testing::Test {
 };
 
 TEST_F(ResilientRendererTest, UnlimitedBudgetCertifies) {
-  ResilientRenderer renderer(&evaluator_);
-  ResilientRenderOptions options;
-  options.eps = 0.01;
-  options.budget_seconds = -1.0;
-  RenderOutcome outcome = renderer.Render(grid_, options);
-  EXPECT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.tier, QualityTier::kCertified);
-  EXPECT_DOUBLE_EQ(outcome.certified_eps, 0.01);
-  EXPECT_FALSE(outcome.deadline_expired);
-  EXPECT_EQ(outcome.pixels_scrubbed, 0u);
-  ExpectFinite(outcome.frame);
+  BatchStats engine;
+  DensityFrame want = RenderEpsFrameParallel(evaluator_, grid_, 0.01, {},
+                                             nullptr, {}, &engine);
+  ThreadPool::Options pool_opts;
+  pool_opts.num_threads = 2;
+  ThreadPool pool(pool_opts);
+  // One thread without a pool, then three threads over a 2-worker pool (in
+  // 2-row work items, so the 16x12 frame really fans out): the certified
+  // frame and its work are the frame engine's either way.
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ResilientRenderer renderer(&evaluator_);
+    ResilientRenderOptions options;
+    options.eps = 0.01;
+    options.budget_seconds = -1.0;
+    options.parallel.num_threads = threads;
+    options.parallel.tile_rows = 2;
+    options.tile_pool = threads > 1 ? &pool : nullptr;
+    RenderOutcome outcome = renderer.Render(grid_, options);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome.tier, QualityTier::kCertified);
+    EXPECT_DOUBLE_EQ(outcome.certified_eps, 0.01);
+    EXPECT_FALSE(outcome.deadline_expired);
+    EXPECT_EQ(outcome.pixels_scrubbed, 0u);
+    ExpectFinite(outcome.frame);
+    ASSERT_EQ(outcome.frame.values.size(), want.values.size());
+    EXPECT_EQ(std::memcmp(outcome.frame.values.data(), want.values.data(),
+                          want.values.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(outcome.stats.queries, engine.queries);
+    EXPECT_EQ(outcome.stats.iterations, engine.iterations);
+    EXPECT_EQ(outcome.stats.points_scanned, engine.points_scanned);
+    EXPECT_EQ(outcome.stats.nodes_visited, engine.nodes_visited);
+    EXPECT_EQ(outcome.stats.numeric_faults, engine.numeric_faults);
+  }
 }
 
 TEST_F(ResilientRendererTest, ZeroBudgetDegradesToCoarse) {
@@ -229,11 +256,12 @@ TEST_F(ChaosSweepTest, DelayInTheScheduleTripsTheDeadline) {
 }
 
 TEST_F(ChaosSweepTest, AbandonedTiledAttemptKeepsItsWorkCounters) {
-  // 20ms of injected latency before every pixel of the tile-shared attempt
+  // 20ms of injected latency before every pixel of the tile-shared frame
   // against a 50ms budget: the deadline fires a few pixels in, after the
-  // first chunk's region pass, and the ladder falls through. The work the
-  // abandoned attempt did must still be in the outcome's counters.
-  ASSERT_TRUE(failpoint::Arm("runner.eps", failpoint::Action::kDelay,
+  // first chunk's region pass, before the frame centre is reached, and the
+  // ladder degrades. The work the abandoned frame did must still be in the
+  // outcome's counters.
+  ASSERT_TRUE(failpoint::Arm("progressive.op", failpoint::Action::kDelay,
                              /*delay_ms=*/20)
                   .ok());
   PixelGrid grid(64, 48, bench_.data_bounds());
@@ -247,6 +275,37 @@ TEST_F(ChaosSweepTest, AbandonedTiledAttemptKeepsItsWorkCounters) {
   EXPECT_NE(outcome.tier, QualityTier::kCertified);
   EXPECT_GT(outcome.stats.tile_nodes_visited, 0u);
   for (double v : outcome.frame.values) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST_F(ChaosSweepTest, BudgetedMultiThreadRenderStillPaintsAFrame) {
+  // 5ms of injected latency before every pixel, at three intra-frame
+  // threads over a 2-worker pool, against a 50ms budget: the deadline cuts
+  // the frame short, and the pixels it did evaluate — the frame centre
+  // first — must still paint a progressive frame rather than drop it for
+  // the coarse tier.
+  ASSERT_TRUE(failpoint::Arm("runner.eps", failpoint::Action::kDelay,
+                             /*delay_ms=*/5)
+                  .ok());
+  ASSERT_TRUE(failpoint::Arm("progressive.op", failpoint::Action::kDelay,
+                             /*delay_ms=*/5)
+                  .ok());
+  ThreadPool::Options pool_opts;
+  pool_opts.num_threads = 2;
+  ThreadPool pool(pool_opts);
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.budget_seconds = 0.05;
+  options.parallel.num_threads = 3;
+  options.parallel.tile_rows = 2;
+  options.parallel.tile_shared = false;
+  options.tile_pool = &pool;
+  RenderOutcome outcome = renderer.Render(grid_, options);
+  EXPECT_EQ(outcome.tier, QualityTier::kProgressive);
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome.deadline_expired);
+  EXPECT_GE(outcome.stats.queries, 1u);
+  ExpectFinite(outcome.frame);
+  for (double v : outcome.frame.values) EXPECT_NE(v, 0.0);
 }
 
 }  // namespace

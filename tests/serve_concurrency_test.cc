@@ -24,6 +24,7 @@
 
 #include "core/kdv_runner.h"
 #include "data/datasets.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/thread_pool.h"
@@ -310,6 +311,29 @@ TEST_F(RenderServiceTest, ConcurrentClientsAllGetCertifiedFrames) {
   EXPECT_EQ(stats.served_ok, 48u);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.tier_certified, 48u);
+}
+
+TEST_F(RenderServiceTest, SerialCertifiedFramesAreCountedByTheFrameEngine) {
+  // At one intra-frame thread every certified frame still comes from the
+  // frame engine, so each one is in kdv_render_frames_total.
+  obs::Counter* frames =
+      obs::MetricsRegistry::Global().GetCounter("kdv_render_frames_total");
+  const uint64_t before = frames->value();
+  RenderService::Options options;
+  options.num_threads = 1;
+  options.intra_frame_threads = 1;
+  RenderService service(&evaluator_, options);
+  ServeRequestOptions request;
+  request.eps = 0.05;
+  for (int i = 0; i < 3; ++i) {
+    StatusOr<std::future<ServeOutcome>> t = service.Submit(grid_, request);
+    ASSERT_TRUE(t.ok());
+    ServeOutcome outcome = t->get();
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome.render.tier, QualityTier::kCertified);
+  }
+  service.Stop();
+  EXPECT_EQ(frames->value() - before, 3u);
 }
 
 TEST_F(RenderServiceTest, OverloadShedsInsteadOfQueueingUnboundedly) {

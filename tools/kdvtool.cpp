@@ -671,8 +671,8 @@ int CmdProgressive(const Flags& flags) {
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
   ProgressiveResult r = RenderProgressive(evaluator, grid, eps, budget);
-  if (!r.status.ok()) {
-    PrintStatus(r.status);
+  if (!r.stats.status.ok()) {
+    PrintStatus(r.stats.status);
     return 1;
   }
   std::string out = flags.GetString("out", "progressive.ppm");
@@ -684,7 +684,7 @@ int CmdProgressive(const Flags& flags) {
       "progressive εKDV (%s): %llu/%zu pixels in %.3fs%s -> %s\n",
       MethodName(s.method),
       static_cast<unsigned long long>(r.pixels_evaluated), grid.num_pixels(),
-      r.stats.seconds, r.completed ? " (completed)" : "", out.c_str());
+      r.stats.seconds, r.stats.completed ? " (completed)" : "", out.c_str());
   return 0;
 }
 

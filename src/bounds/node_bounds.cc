@@ -44,7 +44,7 @@ void SumQuarticRange(double n, double s1_min, double s1_max, double dmin2,
 // monotone-decreasing profile (covers MinMaxDistBounds exactly).
 BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
                                      const Rect& query_rect) const {
-  XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
+  XInterval xi = RegionProfileInterval(params_, stats, query_rect);
   return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
 }
 
@@ -54,7 +54,7 @@ BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
 
 BoundPair MinMaxDistBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
-  XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  XInterval xi = ProfileInterval(params_, stats, q);
   return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
 }
 
@@ -73,7 +73,7 @@ KarlLinearBounds::KarlLinearBounds(const KernelParams& params,
 BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
   const double n = static_cast<double>(stats.count());
-  XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  XInterval xi = ProfileInterval(params_, stats, q);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
     return TrivialBounds(params_, n, xi);
   }
@@ -96,7 +96,7 @@ BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
 BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
                                            const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
-  XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
+  XInterval xi = RegionProfileInterval(params_, stats, query_rect);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
     return TrivialBounds(params_, n, xi);
   }
@@ -135,40 +135,44 @@ QuadGaussianBounds::QuadGaussianBounds(const KernelParams& params,
 BoundPair QuadGaussianBounds::Evaluate(const NodeStats& stats,
                                        const Point& q) const {
   const double n = static_cast<double>(stats.count());
-  XInterval xi = ProfileInterval(params_, stats.mbr(), q);
-  if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
-  }
+  const double w = params_.weight;
+  XInterval xi = ProfileInterval(params_, stats, q);
+  // The three exponentials this bound needs, each evaluated once: e^-x at
+  // both ends of the interval (shared by the trivial bounds, the Theorem 1
+  // upper and the §4.3 lower) and at the tangent point below.
+  const double e_min = ClampedExpNeg(xi.x_min);
+  const double e_max = ClampedExpNeg(xi.x_max);
+  const BoundPair trivial{n * w * e_max, n * w * e_min};  // TrivialBounds
+  if (xi.x_max - xi.x_min < kDegenerateInterval) return trivial;
 
   const double s1 = stats.SumSquaredDistances(q);
   const double s2 = stats.SumQuarticDistances(q);
   const double sum_x = params_.gamma * s1;                    // sum x_i
   const double sum_x_sq = params_.gamma * params_.gamma * s2;  // sum x_i^2
-  const double w = params_.weight;
 
   BoundPair b;
-  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max, e_min, e_max);
   b.upper = w * (upper.a * sum_x_sq + upper.b * sum_x + upper.c * n);
 
   double t = GaussianTangentPoint(params_.gamma, s1, n, xi.x_min, xi.x_max);
+  const double e_t = ClampedExpNeg(t);
   if (xi.x_max - t < kDegenerateInterval) {
     // Tangent point collapses onto x_max; the quadratic form degenerates.
     // Fall back to the linear tangent bound, which is still valid.
-    LinearCoeffs lower = ExpTangentLower(t);
+    LinearCoeffs lower = ExpTangentLower(t, e_t);
     b.lower = w * (lower.m * sum_x + lower.k * n);
   } else {
-    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max);
+    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max, e_t, e_max);
     b.lower = w * (lower.a * sum_x_sq + lower.b * sum_x + lower.c * n);
   }
 
-  return Finalize(b, n, xi);
+  return Finalize(b, trivial);
 }
 
 BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
                                              const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
-  const Rect& mbr = stats.mbr();
-  XInterval xi = RegionProfileInterval(params_, mbr, query_rect);
+  XInterval xi = RegionProfileInterval(params_, stats, query_rect);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
     return TrivialBounds(params_, n, xi);
   }
@@ -176,8 +180,8 @@ BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
   double s1_min = 0.0, s1_max = 0.0;
   stats.SumSquaredDistancesRange(query_rect, &s1_min, &s1_max);
   double s2_min = 0.0, s2_max = 0.0;
-  SumQuarticRange(n, s1_min, s1_max, mbr.MinSquaredDistance(query_rect),
-                  mbr.MaxSquaredDistance(query_rect), &s2_min, &s2_max);
+  SumQuarticRange(n, s1_min, s1_max, stats.MinSquaredDistance(query_rect),
+                  stats.MaxSquaredDistance(query_rect), &s2_min, &s2_max);
 
   const double g = params_.gamma;
   const double sx_min = g * s1_min, sx_max = g * s1_max;
@@ -219,7 +223,7 @@ QuadDistanceKernelBounds::QuadDistanceKernelBounds(
 
 BoundPair QuadDistanceKernelBounds::Evaluate(const NodeStats& stats,
                                              const Point& q) const {
-  XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  XInterval xi = ProfileInterval(params_, stats, q);
   // sum_i x_i^2 = gamma^2 * S1 — the only aggregate these bounds need
   // (Lemma 4: O(d) time).
   const double sum_x_sq =
@@ -241,7 +245,7 @@ BoundPair QuadDistanceKernelBounds::EvaluateRegion(
     const NodeStats& stats, const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
   const double w = params_.weight;
-  XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
+  XInterval xi = RegionProfileInterval(params_, stats, query_rect);
 
   double s1_min = 0.0, s1_max = 0.0;
   stats.SumSquaredDistancesRange(query_rect, &s1_min, &s1_max);
@@ -405,7 +409,7 @@ BoundPair PolynomialExactBounds::Evaluate(const NodeStats& stats,
                                           const Point& q) const {
   const double n = static_cast<double>(stats.count());
   const double w = params_.weight;
-  XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  XInterval xi = ProfileInterval(params_, stats, q);
 
   if (xi.x_min >= 1.0) return BoundPair{0.0, 0.0};
 
@@ -452,8 +456,7 @@ BoundPair PolynomialExactBounds::EvaluateRegion(const NodeStats& stats,
                                                 const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
   const double w = params_.weight;
-  const Rect& mbr = stats.mbr();
-  XInterval xi = RegionProfileInterval(params_, mbr, query_rect);
+  XInterval xi = RegionProfileInterval(params_, stats, query_rect);
 
   if (xi.x_min >= 1.0) return BoundPair{0.0, 0.0};
 
@@ -479,8 +482,8 @@ BoundPair PolynomialExactBounds::EvaluateRegion(const NodeStats& stats,
     }
     case KernelType::kQuartic: {
       double s2_min = 0.0, s2_max = 0.0;
-      SumQuarticRange(n, s1_min, s1_max, mbr.MinSquaredDistance(query_rect),
-                      mbr.MaxSquaredDistance(query_rect), &s2_min, &s2_max);
+      SumQuarticRange(n, s1_min, s1_max, stats.MinSquaredDistance(query_rect),
+                      stats.MaxSquaredDistance(query_rect), &s2_min, &s2_max);
       const double sx4_min = g2 * g2 * s2_min;
       const double sx4_max = g2 * g2 * s2_max;
       b.lower = w * (n - 2.0 * sxsq_max + sx4_min);

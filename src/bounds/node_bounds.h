@@ -31,12 +31,12 @@ struct XInterval {
   double x_max = 0.0;
 };
 
-// Computes the profile-argument interval for a node MBR and pixel q.
-inline XInterval ProfileInterval(const KernelParams& params, const Rect& mbr,
-                                 const Point& q) {
+// Computes the profile-argument interval for a node's MBR and pixel q.
+inline XInterval ProfileInterval(const KernelParams& params,
+                                 const NodeStats& stats, const Point& q) {
   XInterval xi;
-  xi.x_min = params.XFromSquaredDistance(mbr.MinSquaredDistance(q));
-  xi.x_max = params.XFromSquaredDistance(mbr.MaxSquaredDistance(q));
+  xi.x_min = params.XFromSquaredDistance(stats.MinSquaredDistance(q));
+  xi.x_max = params.XFromSquaredDistance(stats.MaxSquaredDistance(q));
   return xi;
 }
 
@@ -44,11 +44,11 @@ inline XInterval ProfileInterval(const KernelParams& params, const Rect& mbr,
 // `query_rect`, via the rect-to-rect min/max distances between the query
 // region and the node MBR.
 inline XInterval RegionProfileInterval(const KernelParams& params,
-                                       const Rect& mbr,
+                                       const NodeStats& stats,
                                        const Rect& query_rect) {
   XInterval xi;
-  xi.x_min = params.XFromSquaredDistance(mbr.MinSquaredDistance(query_rect));
-  xi.x_max = params.XFromSquaredDistance(mbr.MaxSquaredDistance(query_rect));
+  xi.x_min = params.XFromSquaredDistance(stats.MinSquaredDistance(query_rect));
+  xi.x_max = params.XFromSquaredDistance(stats.MaxSquaredDistance(query_rect));
   return xi;
 }
 
@@ -106,8 +106,14 @@ class NodeBounds {
   // Applies the safety clamp (if enabled) and the lower >= 0 floor.
   BoundPair Finalize(BoundPair analytic, double count,
                      const XInterval& xi) const {
+    return Finalize(analytic, options_.clamp_with_trivial
+                                  ? TrivialBounds(params_, count, xi)
+                                  : BoundPair{});
+  }
+
+  // As above, for a caller that has already evaluated TrivialBounds.
+  BoundPair Finalize(BoundPair analytic, const BoundPair& trivial) const {
     if (options_.clamp_with_trivial) {
-      BoundPair trivial = TrivialBounds(params_, count, xi);
       analytic.lower = std::max(analytic.lower, trivial.lower);
       analytic.upper = std::min(analytic.upper, trivial.upper);
     }

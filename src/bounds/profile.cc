@@ -19,8 +19,11 @@ LinearCoeffs ExpChordUpper(double x_min, double x_max) {
 }
 
 LinearCoeffs ExpTangentLower(double t) {
+  return ExpTangentLower(t, ClampedExpNeg(t));
+}
+
+LinearCoeffs ExpTangentLower(double t, double e_t) {
   KDV_DCHECK(t >= 0.0);
-  const double e_t = ClampedExpNeg(t);
   LinearCoeffs lin;
   lin.m = -e_t;
   lin.k = (1.0 + t) * e_t;
@@ -28,9 +31,13 @@ LinearCoeffs ExpTangentLower(double t) {
 }
 
 QuadraticCoeffs ExpQuadUpper(double x_min, double x_max) {
+  return ExpQuadUpper(x_min, x_max, ClampedExpNeg(x_min),
+                      ClampedExpNeg(x_max));
+}
+
+QuadraticCoeffs ExpQuadUpper(double x_min, double x_max, double e_min,
+                             double e_max) {
   KDV_DCHECK(x_max > x_min);
-  const double e_min = ClampedExpNeg(x_min);
-  const double e_max = ClampedExpNeg(x_max);
   const double delta = x_max - x_min;
 
   QuadraticCoeffs q;
@@ -43,10 +50,13 @@ QuadraticCoeffs ExpQuadUpper(double x_min, double x_max) {
 }
 
 QuadraticCoeffs ExpQuadLower(double t, double x_max) {
+  return ExpQuadLower(t, x_max, ClampedExpNeg(t), ClampedExpNeg(x_max));
+}
+
+QuadraticCoeffs ExpQuadLower(double t, double x_max, double e_t,
+                             double e_max) {
   KDV_DCHECK(t < x_max);
   KDV_DCHECK(t >= 0.0);
-  const double e_t = ClampedExpNeg(t);
-  const double e_max = ClampedExpNeg(x_max);
   const double d = x_max - t;
 
   QuadraticCoeffs q;

@@ -42,6 +42,8 @@ LinearCoeffs ExpChordUpper(double x_min, double x_max);
 
 // Tangent to exp(-x) at t; lower-bounds exp(-x) everywhere by convexity.
 LinearCoeffs ExpTangentLower(double t);
+// The same, given e_t = ClampedExpNeg(t).
+LinearCoeffs ExpTangentLower(double t, double e_t);
 
 // ---------------------------------------------------------------------------
 // exp(-x) quadratic bounds (QUAD, §4).
@@ -50,10 +52,16 @@ LinearCoeffs ExpTangentLower(double t);
 // Theorem 1: the tightest correct quadratic upper bound of exp(-x) on
 // [x_min, x_max] that interpolates both endpoints. Requires x_max > x_min.
 QuadraticCoeffs ExpQuadUpper(double x_min, double x_max);
+// The same, given e_min = ClampedExpNeg(x_min), e_max = ClampedExpNeg(x_max).
+QuadraticCoeffs ExpQuadUpper(double x_min, double x_max, double e_min,
+                             double e_max);
 
 // §4.3: quadratic lower bound tangent to exp(-x) at t and passing through
 // (x_max, e^-x_max). Requires t < x_max. Tighter than ExpTangentLower.
 QuadraticCoeffs ExpQuadLower(double t, double x_max);
+// The same, given e_t = ClampedExpNeg(t), e_max = ClampedExpNeg(x_max).
+QuadraticCoeffs ExpQuadLower(double t, double x_max, double e_t,
+                             double e_max);
 
 // The paper's tangent-point choice (Eq. 3): the mean profile argument
 // t* = gamma * S1 / n, clamped into [x_min, x_max].

@@ -1,6 +1,7 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 
 #include "util/check.h"
@@ -17,7 +18,49 @@ Rect RangeMbr(const PointSet& points, const std::vector<uint32_t>& idx,
   return mbr;
 }
 
+// Permutes `points` so that points[i] becomes the old points[order[i]],
+// following each cycle of the permutation with one carried value.
+void GatherInPlace(const std::vector<uint32_t>& order, PointSet* points) {
+  const size_t n = order.size();
+  std::vector<bool> placed(n, false);
+  for (size_t start = 0; start < n; ++start) {
+    if (placed[start]) continue;
+    const Point carry = (*points)[start];
+    size_t i = start;
+    while (true) {
+      placed[i] = true;
+      const size_t src = order[i];
+      if (src == start) {
+        (*points)[i] = carry;
+        break;
+      }
+      (*points)[i] = (*points)[src];
+      i = src;
+    }
+  }
+}
+
 }  // namespace
+
+size_t KdTree::NodeCount(size_t num_points, size_t leaf_size) {
+  leaf_size = std::max<size_t>(leaf_size, 1);
+  // Range sizes on one level of the build differ by at most one, so a level
+  // is at most two (size, multiplicity) entries.
+  std::map<size_t, size_t> level = {{num_points, 1}};
+  size_t total = 0;
+  while (!level.empty()) {
+    std::map<size_t, size_t> next;
+    for (const auto& [size, multiplicity] : level) {
+      total += multiplicity;
+      if (size > leaf_size) {
+        next[size / 2] += multiplicity;
+        next[size - size / 2] += multiplicity;
+      }
+    }
+    level = std::move(next);
+  }
+  return total;
+}
 
 KdTree::KdTree(PointSet points, Options options) {
   KDV_CHECK_MSG(!points.empty(), "KdTree requires a non-empty point set");
@@ -29,14 +72,17 @@ KdTree::KdTree(PointSet points, Options options) {
 
   // Phase 1: build the split structure over an index array, so the
   // input-order permutation is available to callers with per-point payloads.
+  // The node count is known up front, so the array never reallocates.
   original_indices_.resize(points.size());
   std::iota(original_indices_.begin(), original_indices_.end(), 0u);
-  nodes_.reserve(2 * (points.size() / leaf_size + 1));
+  nodes_.reserve(NodeCount(points.size(), leaf_size));
   BuildRecursive(points, 0, points.size(), leaf_size);
+  KDV_DCHECK(nodes_.size() == NodeCount(points.size(), leaf_size));
 
-  // Phase 2: gather points into tree order and fill per-node aggregates.
-  points_.reserve(points.size());
-  for (uint32_t idx : original_indices_) points_.push_back(points[idx]);
+  // Phase 2: gather the points into tree order in place (no second copy of
+  // the point array is ever alive) and fill per-node aggregates.
+  GatherInPlace(original_indices_, &points);
+  points_ = std::move(points);
   for (Node& node : nodes_) {
     node.stats =
         NodeStats::Compute(points_.data() + node.begin, node.count());

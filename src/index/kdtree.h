@@ -18,10 +18,12 @@
 
 namespace kdv {
 
-// Immutable balanced kd-tree. Nodes are stored in a flat array; points are
-// reordered into a contiguous array so each node owns the slice
-// [begin, end). Median splits on the widest MBR dimension give O(log n)
-// depth.
+// Immutable balanced kd-tree. Nodes are stored in a flat array of compact
+// records (Node: the node's NodeStats record plus its point range and child
+// ids, 136 bytes, with nothing on the heap at d <= 2; see node_stats.h for
+// the record layout); points are reordered into a contiguous array so each
+// node owns the slice [begin, end). Median splits on the widest MBR
+// dimension give O(log n) depth.
 //
 // Thread safety: the tree is deeply immutable once the constructor returns
 // (the accessors are all const and there is no caching), so it may be read
@@ -93,6 +95,11 @@ class KdTree {
   // Depth of the tree (root = 1). For diagnostics.
   int Depth() const;
 
+  // Number of nodes the constructor builds for `num_points` points: a range
+  // of more than leaf_size points (leaf_size 0 counts as 1) splits into
+  // halves of m/2 and m - m/2 points.
+  static size_t NodeCount(size_t num_points, size_t leaf_size);
+
  private:
   KdTree() = default;  // for FromSerialized
 
@@ -108,6 +115,11 @@ class KdTree {
   std::vector<double> soa_coords_;  // dim_ arrays of num_points() doubles
   int dim_ = 0;
 };
+
+// One node record is what every bound evaluation touches; keep it within
+// three cache lines (it is 136 bytes: 120 of NodeStats, 16 of ids).
+static_assert(sizeof(KdTree::Node) <= 160,
+              "KdTree::Node outgrew its compact record");
 
 }  // namespace kdv
 

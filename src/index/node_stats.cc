@@ -1,48 +1,114 @@
 #include "index/node_stats.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
 namespace kdv {
 
+NodeStats::NodeStats(const NodeStats& other) { CopyFrom(other); }
+
+NodeStats::NodeStats(NodeStats&& other) noexcept { TakeFrom(&other); }
+
+NodeStats& NodeStats::operator=(const NodeStats& other) {
+  if (this != &other) {
+    Release();
+    CopyFrom(other);
+  }
+  return *this;
+}
+
+NodeStats& NodeStats::operator=(NodeStats&& other) noexcept {
+  if (this != &other) {
+    Release();
+    TakeFrom(&other);
+  }
+  return *this;
+}
+
+void NodeStats::Release() {
+  if (spilled()) delete[] heap_;
+  count_ = 0;
+  dim_ = 0;
+  std::fill_n(inline_, kInlineSlots, 0.0);
+}
+
+void NodeStats::TakeFrom(NodeStats* other) {
+  count_ = other->count_;
+  dim_ = other->dim_;
+  if (other->spilled()) {
+    heap_ = other->heap_;
+  } else {
+    std::copy_n(other->inline_, kInlineSlots, inline_);
+  }
+  // The source no longer owns (or points at) the record.
+  other->count_ = 0;
+  other->dim_ = 0;
+  std::fill_n(other->inline_, kInlineSlots, 0.0);
+}
+
+void NodeStats::CopyFrom(const NodeStats& other) {
+  if (other.spilled()) {
+    heap_ = new double[NodeRecordSlots(other.dim_)];
+    std::copy_n(other.heap_, NodeRecordSlots(other.dim_), heap_);
+  } else {
+    std::copy_n(other.inline_, kInlineSlots, inline_);
+  }
+  count_ = other.count_;
+  dim_ = other.dim_;
+}
+
 NodeStats NodeStats::Compute(const Point* points, size_t count) {
   KDV_CHECK(count > 0);
+  KDV_CHECK(count <= std::numeric_limits<uint32_t>::max());
   const int d = points[0].dim();
 
   NodeStats s;
-  s.count_ = count;
+  s.count_ = static_cast<uint32_t>(count);
   s.dim_ = d;
-  s.mbr_ = Rect(d);
-  s.sum_ = Point(d);
-  s.sum_sq_norm_p_ = Point(d);
-  s.outer_.assign(static_cast<size_t>(d) * d, 0.0);
+  if (s.spilled()) s.heap_ = new double[NodeRecordSlots(d)]();
+  double* rec = s.data();
+  double* lo = rec + kLo;
+  double* hi = lo + d;
+  double* sum = hi + d;
+  double* sum_sq_norm_p = sum + d;
+  double* outer = sum_sq_norm_p + d;
+  for (int a = 0; a < d; ++a) {
+    lo[a] = std::numeric_limits<double>::infinity();
+    hi[a] = -std::numeric_limits<double>::infinity();
+  }
 
   for (size_t i = 0; i < count; ++i) {
     const Point& p = points[i];
     KDV_DCHECK(p.dim() == d);
-    s.mbr_.Expand(p);
-    double sq = p.SquaredNorm();
-    s.sum_sq_norm_ += sq;
-    s.sum_quartic_norm_ += sq * sq;
     for (int a = 0; a < d; ++a) {
-      s.sum_[a] += p[a];
-      s.sum_sq_norm_p_[a] += sq * p[a];
+      lo[a] = std::min(lo[a], p[a]);
+      hi[a] = std::max(hi[a], p[a]);
+    }
+    double sq = p.SquaredNorm();
+    rec[kSumSqNorm] += sq;
+    rec[kSumQuartic] += sq * sq;
+    for (int a = 0; a < d; ++a) {
+      sum[a] += p[a];
+      sum_sq_norm_p[a] += sq * p[a];
       for (int b = 0; b < d; ++b) {
-        s.outer_[static_cast<size_t>(a) * d + b] += p[a] * p[b];
+        outer[static_cast<size_t>(a) * d + b] += p[a] * p[b];
       }
     }
   }
   return s;
 }
 
-double NodeStats::SumSquaredDistances(const Point& q) const {
-  KDV_DCHECK(q.dim() == dim_);
-  double s1 = static_cast<double>(count_) * q.SquaredNorm() -
-              2.0 * Dot(q, sum_) + sum_sq_norm_;
-  // Guard against negative values from floating-point cancellation; the true
-  // quantity is a sum of squares.
-  return std::max(s1, 0.0);
+Rect NodeStats::mbr() const {
+  Rect r(dim_);
+  const double* lo = mbr_lo();
+  const double* hi = mbr_hi();
+  for (int i = 0; i < dim_; ++i) {
+    r.set_lo(i, lo[i]);
+    r.set_hi(i, hi[i]);
+  }
+  return r;
 }
 
 void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
@@ -50,10 +116,11 @@ void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
                                          double* s1_max) const {
   KDV_DCHECK(query_rect.dim() == dim_);
   const double n = static_cast<double>(count_);
-  double lo_total = sum_sq_norm_;
-  double hi_total = sum_sq_norm_;
+  const double* a_p = sum();
+  double lo_total = sum_sq_norm();
+  double hi_total = lo_total;
   for (int d = 0; d < dim_; ++d) {
-    const double a = sum_[d];
+    const double a = a_p[d];
     const double lo = query_rect.lo(d);
     const double hi = query_rect.hi(d);
     // f(t) = n*t^2 - 2*a*t, convex with vertex at a/n.
@@ -67,28 +134,6 @@ void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
   // sum of squares, so negatives are floating-point artifacts.
   *s1_min = std::max(lo_total, 0.0);
   *s1_max = std::max(hi_total, *s1_min);
-}
-
-double NodeStats::SumQuarticDistances(const Point& q) const {
-  KDV_DCHECK(q.dim() == dim_);
-  const double q_sq = q.SquaredNorm();
-  const double q_dot_a = Dot(q, sum_);
-  const double q_dot_v = Dot(q, sum_sq_norm_p_);
-
-  // q^T C q in O(d^2).
-  double qcq = 0.0;
-  const int d = dim_;
-  for (int a = 0; a < d; ++a) {
-    double row = 0.0;
-    const double* c_row = outer_.data() + static_cast<size_t>(a) * d;
-    for (int b = 0; b < d; ++b) row += c_row[b] * q[b];
-    qcq += q[a] * row;
-  }
-
-  double s2 = static_cast<double>(count_) * q_sq * q_sq -
-              4.0 * q_sq * q_dot_a - 4.0 * q_dot_v + 2.0 * q_sq * sum_sq_norm_ +
-              sum_quartic_norm_ + 4.0 * qcq;
-  return std::max(s2, 0.0);
 }
 
 }  // namespace kdv

@@ -83,9 +83,8 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
     QueueEntry e;
     e.node = id;
     const KdTree::Node& node = tree_->node(id);
-    e.numer = EvaluateWeightedBounds(options_.method, params_,
-                                     node.stats.mbr(), weights_->node(id), q,
-                                     options_.bounds);
+    e.numer = EvaluateWeightedBounds(options_.method, params_, node.stats,
+                                     weights_->node(id), q, options_.bounds);
     e.denom = denom_bounds_->Evaluate(node.stats, q);
     // Numerator and denominator gaps are commensurable after scaling the
     // denominator gap by the node's mean target value.

@@ -124,11 +124,11 @@ BoundPair DistanceQuad(const KernelParams& params, const XInterval& xi,
 }  // namespace
 
 BoundPair EvaluateWeightedBounds(Method method, const KernelParams& params,
-                                 const Rect& mbr,
+                                 const NodeStats& stats,
                                  const WeightedNodeStats& wstats,
                                  const Point& q,
                                  const BoundsOptions& options) {
-  XInterval xi = ProfileInterval(params, mbr, q);
+  XInterval xi = ProfileInterval(params, stats, q);
   const double y = wstats.weight_sum();
   if (y <= 0.0) return BoundPair{0.0, 0.0};
 

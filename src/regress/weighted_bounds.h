@@ -7,20 +7,21 @@
 #define QUADKDV_REGRESS_WEIGHTED_BOUNDS_H_
 
 #include "bounds/node_bounds.h"
-#include "geom/rect.h"
+#include "index/node_stats.h"
 #include "kernel/kernel.h"
 #include "regress/weighted_stats.h"
 
 namespace kdv {
 
-// Evaluates bounds on N(q) over one node with MBR `mbr` and weighted
-// aggregates `wstats`, using the given method's bound family. The
+// Evaluates bounds on N(q) over one node with (unweighted) aggregates
+// `stats`, read for the node's MBR, and weighted aggregates `wstats`, using
+// the given method's bound family. The
 // KernelParams' `weight` multiplies the result (usually 1). Supported:
 // kAkde/kTkdc (trivial), kKarl (Gaussian only), kQuad (all Table-4 kernels;
 // polynomial kernels fall back to trivial bounds). Unsupported combinations
 // fall back to the trivial bounds, which are always valid.
 BoundPair EvaluateWeightedBounds(Method method, const KernelParams& params,
-                                 const Rect& mbr,
+                                 const NodeStats& stats,
                                  const WeightedNodeStats& wstats,
                                  const Point& q,
                                  const BoundsOptions& options = {});

@@ -1,4 +1,10 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -99,8 +105,156 @@ TEST_P(NodeStatsDimTest, AggregateIdentitiesHold) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, NodeStatsDimTest,
-                         ::testing::Values(1, 2, 3, 4, 6, 8, 10, 16));
+// Every aggregate of the record against a brute-force pass that accumulates
+// in the same order, so the comparison is exact: a wrong offset or a
+// clobbered slot anywhere in the record shows.
+TEST_P(NodeStatsDimTest, RecordMatchesBruteForceExactly) {
+  const int d = GetParam();
+  PointSet pts = RandomPoints(37, d, 200 + d);
+  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  ASSERT_EQ(s.count(), pts.size());
+  ASSERT_EQ(s.dim(), d);
+
+  std::vector<double> lo(d, std::numeric_limits<double>::infinity());
+  std::vector<double> hi(d, -std::numeric_limits<double>::infinity());
+  std::vector<double> sum(d, 0.0), v(d, 0.0), c(d * d, 0.0);
+  double b = 0.0, h = 0.0;
+  for (const Point& p : pts) {
+    const double sq = p.SquaredNorm();
+    b += sq;
+    h += sq * sq;
+    for (int a = 0; a < d; ++a) {
+      lo[a] = std::min(lo[a], p[a]);
+      hi[a] = std::max(hi[a], p[a]);
+      sum[a] += p[a];
+      v[a] += sq * p[a];
+      for (int k = 0; k < d; ++k) c[a * d + k] += p[a] * p[k];
+    }
+  }
+  EXPECT_EQ(s.sum_sq_norm(), b);
+  EXPECT_EQ(s.sum_quartic_norm(), h);
+  const Rect mbr = s.mbr();
+  for (int a = 0; a < d; ++a) {
+    EXPECT_EQ(s.mbr_lo()[a], lo[a]) << "dim " << a;
+    EXPECT_EQ(s.mbr_hi()[a], hi[a]) << "dim " << a;
+    EXPECT_EQ(mbr.lo(a), lo[a]);
+    EXPECT_EQ(mbr.hi(a), hi[a]);
+    EXPECT_EQ(s.sum()[a], sum[a]);
+    EXPECT_EQ(s.sum_sq_norm_p()[a], v[a]);
+  }
+  for (int i = 0; i < d * d; ++i) EXPECT_EQ(s.outer_product_sum()[i], c[i]);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The record's distance helpers are the Rect arithmetic on mbr(), bit for
+// bit, for points and query rects inside, outside and straddling the MBR.
+TEST_P(NodeStatsDimTest, DistanceHelpersMatchRectBitForBit) {
+  const int d = GetParam();
+  PointSet pts = RandomPoints(25, d, 300 + d, -1.0, 1.0);
+  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  const Rect mbr = s.mbr();
+  Rng rng(400 + d);
+  for (int i = 0; i < 40; ++i) {
+    Point q(d), q2(d);
+    for (int j = 0; j < d; ++j) {
+      q[j] = rng.Uniform(-3, 3);
+      q2[j] = q[j] + rng.Uniform(0, 2);
+    }
+    EXPECT_EQ(Bits(s.MinSquaredDistance(q)), Bits(mbr.MinSquaredDistance(q)));
+    EXPECT_EQ(Bits(s.MaxSquaredDistance(q)), Bits(mbr.MaxSquaredDistance(q)));
+    Rect r(d);
+    r.Expand(q);
+    r.Expand(q2);
+    EXPECT_EQ(Bits(s.MinSquaredDistance(r)), Bits(mbr.MinSquaredDistance(r)));
+    EXPECT_EQ(Bits(s.MaxSquaredDistance(r)), Bits(mbr.MaxSquaredDistance(r)));
+  }
+}
+
+// Dimensions on both sides of the inline/spill boundary (kInlineDim = 2).
+INSTANTIATE_TEST_SUITE_P(Dims, NodeStatsDimTest, ::testing::Range(1, 17));
+
+// True if `p` points into the bytes of `owner`.
+bool PointsInto(const void* p, const NodeStats& owner) {
+  const auto* b = reinterpret_cast<const char*>(&owner);
+  const auto* c = reinterpret_cast<const char*>(p);
+  return c >= b && c < b + sizeof(NodeStats);
+}
+
+void ExpectSameRecord(const NodeStats& got, const NodeStats& want) {
+  ASSERT_EQ(got.count(), want.count());
+  ASSERT_EQ(got.dim(), want.dim());
+  const int d = want.dim();
+  EXPECT_EQ(Bits(got.sum_sq_norm()), Bits(want.sum_sq_norm()));
+  EXPECT_EQ(Bits(got.sum_quartic_norm()), Bits(want.sum_quartic_norm()));
+  for (int a = 0; a < d; ++a) {
+    EXPECT_EQ(Bits(got.mbr_lo()[a]), Bits(want.mbr_lo()[a]));
+    EXPECT_EQ(Bits(got.mbr_hi()[a]), Bits(want.mbr_hi()[a]));
+    EXPECT_EQ(Bits(got.sum()[a]), Bits(want.sum()[a]));
+    EXPECT_EQ(Bits(got.sum_sq_norm_p()[a]), Bits(want.sum_sq_norm_p()[a]));
+  }
+  for (int i = 0; i < d * d; ++i) {
+    EXPECT_EQ(Bits(got.outer_product_sum()[i]),
+              Bits(want.outer_product_sum()[i]));
+  }
+}
+
+// A record is owned by exactly one object: copies get their own storage,
+// moves leave the source empty, and nothing reads a buffer whose owner was
+// reassigned or destroyed (ASan builds turn any such read into a failure).
+class NodeStatsOwnershipTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NodeStatsOwnershipTest, CopyMoveAndAssignOwnTheirRecords) {
+  const int d = GetParam();
+  const PointSet pts = RandomPoints(20, d, 500 + d);
+  const NodeStats want = NodeStats::Compute(pts.data(), pts.size());
+  // Another record of a different dimensionality to assign over.
+  const int other_d = d > NodeStats::kInlineDim ? 1 : NodeStats::kInlineDim + 2;
+  const PointSet other_pts = RandomPoints(9, other_d, 600 + d);
+  const NodeStats other = NodeStats::Compute(other_pts.data(), 9);
+
+  NodeStats moved_into;
+  NodeStats assigned;
+  {
+    NodeStats a = NodeStats::Compute(pts.data(), pts.size());
+    NodeStats copy(a);
+    EXPECT_NE(copy.sum(), a.sum());
+    ExpectSameRecord(copy, want);
+
+    NodeStats copy_assigned = other;
+    copy_assigned = a;
+    EXPECT_NE(copy_assigned.sum(), a.sum());
+    ExpectSameRecord(copy_assigned, want);
+
+    NodeStats moved(std::move(copy));
+    EXPECT_EQ(copy.count(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.dim(), 0);
+    ExpectSameRecord(moved, want);
+
+    assigned = other;
+    assigned = std::move(copy_assigned);
+    EXPECT_EQ(copy_assigned.count(), 0u);  // NOLINT(bugprone-use-after-move)
+    ExpectSameRecord(assigned, want);
+
+    NodeStats& alias = assigned;
+    assigned = alias;
+    ExpectSameRecord(assigned, want);
+
+    moved_into = std::move(moved);
+    if (d <= NodeStats::kInlineDim) {
+      EXPECT_TRUE(PointsInto(moved_into.sum(), moved_into));
+    } else {
+      EXPECT_FALSE(PointsInto(moved_into.sum(), moved_into));
+    }
+    // a, copy, copy_assigned and moved are destroyed here.
+  }
+  ExpectSameRecord(moved_into, want);
+  ExpectSameRecord(assigned, want);
+  EXPECT_NE(moved_into.sum(), assigned.sum());
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndSpilled, NodeStatsOwnershipTest,
+                         ::testing::Values(1, 2, 3, 8, 16));
 
 TEST(NodeStatsTest, SinglePoint) {
   PointSet pts{Point{1.0, -1.0}};

@@ -115,7 +115,7 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
         params.weight = 1.0;
 
         Point q{rng.Uniform(-2.5, 2.5), rng.Uniform(-2.5, 2.5)};
-        BoundPair b = EvaluateWeightedBounds(method, params, stats.mbr(),
+        BoundPair b = EvaluateWeightedBounds(method, params, stats,
                                              wstats, q);
         double exact = 0.0;
         for (size_t i = 0; i < pts.size(); ++i) {
@@ -142,7 +142,7 @@ TEST(WeightedBoundsTest, ZeroWeightNodeIsExactZero) {
   KernelParams params;
   params.type = KernelType::kGaussian;
   BoundPair b =
-      EvaluateWeightedBounds(Method::kQuad, params, stats.mbr(), wstats,
+      EvaluateWeightedBounds(Method::kQuad, params, stats, wstats,
                              Point{0.5, 0.5});
   EXPECT_DOUBLE_EQ(b.lower, 0.0);
   EXPECT_DOUBLE_EQ(b.upper, 0.0);

@@ -1,3 +1,5 @@
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -17,6 +19,8 @@ std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 void ExpectTreesEqual(const KdTree& a, const KdTree& b) {
   ASSERT_EQ(b.num_points(), a.num_points());
   ASSERT_EQ(b.num_nodes(), a.num_nodes());
@@ -33,8 +37,24 @@ void ExpectTreesEqual(const KdTree& a, const KdTree& b) {
     EXPECT_EQ(na.end, nb.end);
     EXPECT_EQ(na.left, nb.left);
     EXPECT_EQ(na.right, nb.right);
-    // Recomputed stats match.
-    EXPECT_DOUBLE_EQ(na.stats.sum_sq_norm(), nb.stats.sum_sq_norm());
+    // Recomputed aggregates match the built ones on every moment, bit for
+    // bit.
+    const NodeStats& sa = na.stats;
+    const NodeStats& sb = nb.stats;
+    ASSERT_EQ(sb.count(), sa.count());
+    ASSERT_EQ(sb.dim(), sa.dim());
+    EXPECT_EQ(Bits(sb.sum_sq_norm()), Bits(sa.sum_sq_norm()));
+    EXPECT_EQ(Bits(sb.sum_quartic_norm()), Bits(sa.sum_quartic_norm()));
+    for (int d = 0; d < sa.dim(); ++d) {
+      EXPECT_EQ(Bits(sb.mbr_lo()[d]), Bits(sa.mbr_lo()[d]));
+      EXPECT_EQ(Bits(sb.mbr_hi()[d]), Bits(sa.mbr_hi()[d]));
+      EXPECT_EQ(Bits(sb.sum()[d]), Bits(sa.sum()[d]));
+      EXPECT_EQ(Bits(sb.sum_sq_norm_p()[d]), Bits(sa.sum_sq_norm_p()[d]));
+    }
+    for (int k = 0; k < sa.dim() * sa.dim(); ++k) {
+      EXPECT_EQ(Bits(sb.outer_product_sum()[k]),
+                Bits(sa.outer_product_sum()[k]));
+    }
   }
 }
 

@@ -110,14 +110,27 @@ int main() {
     std::printf("\n(d) τKDV granularity (QUAD, tau=mu)\n");
     std::printf("%-18s %10s %16s %14s\n", "mode", "time(s)",
                 "pixel node evals", "chunks decided");
-    for (bool tile_shared : {false, true}) {
-      RenderOptions options;
-      options.tile_shared = tile_shared;
+    // Per-pixel side: one root-seeded EvaluateTau per pixel, no region pass.
+    {
       BatchStats stats;
-      RenderTauFrameParallel(quad, grid, density.mean, options, nullptr, {},
-                             &stats);
-      std::printf("%-18s %10.3f %16llu %14llu\n",
-                  tile_shared ? "tile-shared" : "per-pixel", stats.seconds,
+      RefinementStream scratch = quad.MakeScratch();
+      Timer timer;
+      for (const Point& q : grid.AllPixelCenters()) {
+        AccumulateQueryStats(
+            &stats, quad.EvaluateTau(q, density.mean, QueryControl(),
+                                     &scratch));
+      }
+      std::printf("%-18s %10.3f %16llu %14s\n", "per-pixel",
+                  timer.ElapsedSeconds(),
+                  static_cast<unsigned long long>(stats.nodes_visited), "-");
+    }
+    // Tile-shared side: the frame engine's chunk region passes.
+    {
+      BatchStats stats;
+      RenderTauFrameParallel(quad, grid, density.mean, RenderOptions(),
+                             nullptr, {}, &stats);
+      std::printf("%-18s %10.3f %16llu %14llu\n", "tile-shared",
+                  stats.seconds,
                   static_cast<unsigned long long>(stats.nodes_visited),
                   static_cast<unsigned long long>(stats.tiles_decided));
     }

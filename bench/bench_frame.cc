@@ -1,19 +1,21 @@
 // Intra-frame rendering throughput of the frame engine
-// (viz/parallel_render.h): the `serial` row is the engine at one thread with
-// no pool, swept against more frame threads and against the shared-traversal
-// tile refiner (--tile-shared analogue), plus the AoS-vs-SoA leaf-kernel
-// microbenchmark that underpins the EXACT method. Prints pixels/sec tables
-// and writes BENCH_frame.json for machine consumption — CI's perf smoke
-// parses it.
+// (viz/parallel_render.h) against a one-thread per-pixel loop (one
+// root-seeded EvaluateEps / EvaluateTau per pixel, no engine), swept over
+// frame threads — the `serial` row is the engine at one thread with no
+// pool — plus the AoS-vs-SoA leaf-kernel microbenchmark that underpins the
+// EXACT method. Prints pixels/sec tables and writes BENCH_frame.json for
+// machine consumption — CI's perf smoke parses it.
 //
-// The benchmark doubles as an exactness check: every per-pixel engine frame
-// is compared bitwise against per-pixel evaluation (one fresh-stream
-// EvaluateEps / EvaluateTau call per pixel), every SoA leaf sum against its
-// AoS oracle, and every tile-shared frame against the
-// EvaluateExact oracle on a pixel sample (the tile-shared path returns
-// different — but still certified — estimates, so the check is the ε
-// certificate itself, not bit equality). Any violation fails the run with a
-// non-zero exit.
+// The benchmark doubles as an exactness check, and any violation fails the
+// run with a non-zero exit:
+//   * bitwise_identical — every engine frame equals the independent chunk
+//     oracle of tests/chunk_oracle.h (per chunk: one region pass, then a
+//     seeded evaluation or the decided fill per pixel) byte for byte; EXACT
+//     frames equal per-pixel
+//     EvaluateExact; every SoA leaf sum equals its AoS oracle;
+//   * certified — εKDV estimates meet |est - F| <= eps·F against
+//     EvaluateExact on a pixel sample, and τKDV masks equal the per-pixel
+//     masks.
 //
 // Scaling knobs: KDV_BENCH_SCALE (dataset cardinality, bench_common.h),
 // KDV_BENCH_FRAME_PIXELS (square frame edge; default sweeps 512 and 1024),
@@ -29,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/chunk_oracle.h"
 #include "bench_common.h"
 
 namespace {
@@ -84,8 +87,7 @@ struct FrameTiming {
   uint64_t tau_nodes_visited = 0;
   uint64_t tile_nodes_visited = 0;  // region bound evaluations (tile pass)
   uint64_t tiles_decided = 0;
-  bool identical = true;  // engine output matched the per-pixel reference
-  bool certified = true;  // tile-shared output satisfied its certificate
+  bool identical = true;  // engine output matched the chunk oracle
 };
 
 std::unique_ptr<ThreadPool> MakePool(int threads) {
@@ -97,13 +99,13 @@ std::unique_ptr<ThreadPool> MakePool(int threads) {
   return std::make_unique<ThreadPool>(popts);
 }
 
-// Certificate oracle for the tile-shared path: on a deterministic pixel
-// sample, the εKDV estimate must satisfy |est - F| <= eps·F and the τKDV
-// mask must match the exact classification. Exact sums are expensive, so the
-// sample is capped; stride keeps it spread over the whole frame.
-bool CheckCertificates(const KdeEvaluator& evaluator, const PixelGrid& grid,
-                       double eps, double tau, const DensityFrame& eps_frame,
-                       const BinaryFrame& tau_frame) {
+// Certificate oracle on a deterministic pixel sample: the εKDV estimate
+// must satisfy |est - F| <= eps·F against EvaluateExact. Exact sums are
+// expensive, so the sample is capped; stride keeps it spread over the
+// whole frame.
+bool CheckEpsCertificates(const KdeEvaluator& evaluator,
+                          const PixelGrid& grid, double eps,
+                          const DensityFrame& eps_frame) {
   const size_t total = static_cast<size_t>(grid.width()) * grid.height();
   const size_t sample = 256;
   const size_t stride = std::max<size_t>(1, total / sample);
@@ -119,31 +121,63 @@ bool CheckCertificates(const KdeEvaluator& evaluator, const PixelGrid& grid,
                    i, est, exact, eps);
       return false;
     }
-    const bool hot = exact >= tau;
-    if ((tau_frame.values[i] != 0) != hot && exact != tau) {
-      std::fprintf(stderr,
-                   "tau misclassification at pixel %zu: exact=%.17g tau=%.17g "
-                   "mask=%d\n",
-                   i, exact, tau, static_cast<int>(tau_frame.values[i]));
-      return false;
-    }
   }
   return true;
 }
 
+// The one-thread per-pixel loop the engine is measured against: a
+// root-seeded EvaluateEps / EvaluateTau per pixel with one reused scratch
+// stream. Fills the per-pixel τ mask the engine's masks must equal.
+FrameTiming TimePerPixel(const KdeEvaluator& evaluator, const PixelGrid& grid,
+                         double eps, double tau, int reps,
+                         BinaryFrame* tau_mask) {
+  FrameTiming timing;
+  kdv::RefinementStream scratch = evaluator.MakeScratch();
+  const QueryControl control;
+  for (int rep = 0; rep < reps; ++rep) {
+    BatchStats eps_stats, tau_stats;
+    kdv::Timer eps_timer;
+    for (int y = 0; y < grid.height(); ++y) {
+      for (int x = 0; x < grid.width(); ++x) {
+        kdv::AccumulateQueryStats(
+            &eps_stats, evaluator.EvaluateEps(grid.PixelCenter(x, y), eps,
+                                              control, &scratch));
+      }
+    }
+    const double eps_seconds = eps_timer.ElapsedSeconds();
+    kdv::Timer tau_timer;
+    for (int y = 0; y < grid.height(); ++y) {
+      for (int x = 0; x < grid.width(); ++x) {
+        kdv::TauResult r = evaluator.EvaluateTau(grid.PixelCenter(x, y), tau,
+                                                 control, &scratch);
+        kdv::AccumulateQueryStats(&tau_stats, r);
+        tau_mask->values[grid.PixelIndex(x, y)] = r.above_threshold ? 1 : 0;
+      }
+    }
+    const double tau_seconds = tau_timer.ElapsedSeconds();
+    if (rep == 0 || eps_seconds < timing.eps_seconds) {
+      timing.eps_seconds = eps_seconds;
+    }
+    if (rep == 0 || tau_seconds < timing.tau_seconds) {
+      timing.tau_seconds = tau_seconds;
+    }
+    timing.eps_nodes_visited = eps_stats.nodes_visited;
+    timing.tau_nodes_visited = tau_stats.nodes_visited;
+  }
+  return timing;
+}
+
 // Renders the eps and tau frames `reps` times at `threads` frame threads
-// and keeps the best wall time of each. Per-pixel engine frames are checked
-// bitwise against the per-pixel references; tile-shared frames are checked
-// against the certificate oracle instead.
+// and keeps the best wall time of each; every frame is checked bitwise
+// against the chunk oracle.
 FrameTiming TimeFrames(const KdeEvaluator& evaluator, const PixelGrid& grid,
-                       double eps, double tau, int threads, bool tile_shared,
-                       int reps, const DensityFrame* eps_baseline,
-                       const BinaryFrame* tau_baseline) {
+                       double eps, double tau, int threads, int reps,
+                       const DensityFrame& eps_oracle,
+                       const BinaryFrame& tau_oracle) {
   FrameTiming timing;
   std::unique_ptr<ThreadPool> pool = MakePool(threads);
   RenderOptions options;
   options.num_threads = threads;
-  options.tile_shared = tile_shared;
   QueryControl control;  // no deadline, not cancellable
 
   for (int rep = 0; rep < reps; ++rep) {
@@ -165,23 +199,37 @@ FrameTiming TimeFrames(const KdeEvaluator& evaluator, const PixelGrid& grid,
       timing.tile_nodes_visited =
           eps_stats.tile_nodes_visited + tau_stats.tile_nodes_visited;
       timing.tiles_decided = eps_stats.tiles_decided + tau_stats.tiles_decided;
-      if (tile_shared) {
-        timing.certified = CheckCertificates(evaluator, grid, eps, tau,
-                                             eps_frame, tau_frame);
-      }
     }
-    if (!tile_shared && eps_baseline != nullptr &&
-        !SameBits(eps_frame.values, eps_baseline->values)) {
-      timing.identical = false;
-    }
-    if (tau_baseline != nullptr &&
-        !SameBits(tau_frame.values, tau_baseline->values)) {
-      // τKDV masks must agree bit-for-bit even tile-shared: both paths are
-      // certified classifiers of the same predicate.
+    if (!SameBits(eps_frame.values, eps_oracle.values) ||
+        !SameBits(tau_frame.values, tau_oracle.values)) {
       timing.identical = false;
     }
   }
   return timing;
+}
+
+// EXACT frames keep the per-pixel contract: at every swept thread count the
+// engine's frame equals per-pixel EvaluateExact bitwise. Run on a small
+// grid — every pixel is a full scan.
+bool ExactFramesIdentical(const KdeEvaluator& exact, const kdv::Rect& domain,
+                          const int* thread_counts, size_t num_counts) {
+  const PixelGrid grid(48, 36, domain);
+  DensityFrame reference(grid.width(), grid.height());
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      reference.values[grid.PixelIndex(x, y)] =
+          exact.EvaluateExact(grid.PixelCenter(x, y));
+    }
+  }
+  for (size_t i = 0; i < num_counts; ++i) {
+    std::unique_ptr<ThreadPool> pool = MakePool(thread_counts[i]);
+    RenderOptions options;
+    options.num_threads = thread_counts[i];
+    DensityFrame frame = kdv::RenderExactFrameParallel(
+        exact, grid, options, pool.get(), QueryControl(), nullptr);
+    if (!SameBits(frame.values, reference.values)) return false;
+  }
+  return true;
 }
 
 struct LeafTiming {
@@ -242,23 +290,34 @@ double PixelsPerSec(int px, double seconds) {
 
 struct Sweep {
   int threads;
-  bool tile_shared;
   FrameTiming timing;
 };
 
 struct ResolutionReport {
   int px = 0;
   double tau = 0.0;
+  FrameTiming per_pixel;
   FrameTiming serial;
   std::vector<Sweep> sweeps;
 };
+
+void PrintRow(const char* label, const PixelGrid& grid, const FrameTiming& t,
+              const FrameTiming& per_pixel, bool ok) {
+  std::printf("%14s %14.0f %14.0f %10.2f %12llu %6s\n", label,
+              PixelsPerSec(grid, t.eps_seconds),
+              PixelsPerSec(grid, t.tau_seconds),
+              t.eps_seconds > 0.0 ? per_pixel.eps_seconds / t.eps_seconds
+                                  : 0.0,
+              static_cast<unsigned long long>(t.eps_nodes_visited),
+              ok ? "yes" : "NO");
+}
 
 }  // namespace
 
 int main() {
   using namespace kdv;
   kdv_bench::PrintHeader(
-      "Frame", "intra-frame parallel + tile-shared rendering, 1 vs N frame "
+      "Frame", "frame engine vs one-thread per-pixel loop, 1 vs N frame "
                "threads (crime analogue, eps=0.05, tau=mean density)");
 
   const std::vector<int> pixel_sweep = FramePixelsList();
@@ -273,7 +332,6 @@ int main() {
               SimdLevelName(ActiveSimdLevel()));
 
   const int thread_counts[] = {1, 2, 4, 8};
-  const int shared_threads[] = {1, 8};
   std::vector<ResolutionReport> reports;
   bool all_identical = true;
   bool all_certified = true;
@@ -285,71 +343,55 @@ int main() {
     report.tau = EstimateDensityStats(evaluator, grid, /*stride=*/8).mean;
     const double tau = report.tau;
 
-    // Bit-exactness oracle: per-pixel evaluation, independent of the engine.
-    DensityFrame eps_baseline(px, px);
-    BinaryFrame tau_baseline(px, px);
-    for (int py = 0; py < px; ++py) {
-      for (int x = 0; x < px; ++x) {
-        const Point q = grid.PixelCenter(x, py);
-        eps_baseline.values[grid.PixelIndex(x, py)] =
-            evaluator.EvaluateEps(q, eps).estimate;
-        tau_baseline.values[grid.PixelIndex(x, py)] =
-            evaluator.EvaluateTau(q, tau).above_threshold ? 1 : 0;
-      }
+    // Bit-exactness oracle, independent of the engine.
+    DensityFrame eps_oracle(px, px);
+    BinaryFrame tau_oracle(px, px);
+    eps_oracle.values =
+        ChunkOracleEps(evaluator, grid, eps, RenderOptions().tile_rows);
+    tau_oracle.values =
+        ChunkOracleTau(evaluator, grid, tau, RenderOptions().tile_rows);
+    const bool certified =
+        CheckEpsCertificates(evaluator, grid, eps, eps_oracle);
+    // Speed reference, and the per-pixel τ mask the engine's must equal.
+    BinaryFrame tau_mask(px, px);
+    report.per_pixel = TimePerPixel(evaluator, grid, eps, tau, reps,
+                                    &tau_mask);
+    const bool masks_equal = SameBits(tau_mask.values, tau_oracle.values);
+    if (!masks_equal) {
+      std::fprintf(stderr, "τ mask differs from the per-pixel mask\n");
     }
+    all_certified = all_certified && certified && masks_equal;
     // Timing reference: the engine at one thread, no pool.
     report.serial = TimeFrames(evaluator, grid, eps, tau, /*threads=*/1,
-                               /*tile_shared=*/false, reps, &eps_baseline,
-                               &tau_baseline);
+                               reps, eps_oracle, tau_oracle);
+    all_identical = all_identical && report.serial.identical;
 
     std::printf("\n-- frame %dx%d --\n", px, px);
     std::printf("%14s %14s %14s %10s %12s %6s\n", "config", "eps px/sec",
-                "tau px/sec", "eps spdup", "node evals", "ok");
-    std::printf("%14s %14.0f %14.0f %10.2f %12llu %6s\n", "serial",
-                PixelsPerSec(grid, report.serial.eps_seconds),
-                PixelsPerSec(grid, report.serial.tau_seconds), 1.0,
-                static_cast<unsigned long long>(
-                    report.serial.eps_nodes_visited),
-                report.serial.identical ? "yes" : "NO");
-    all_identical = all_identical && report.serial.identical;
-
+                "tau px/sec", "vs pixel", "node evals", "ok");
+    PrintRow("per-pixel", grid, report.per_pixel, report.per_pixel,
+             certified && masks_equal);
+    PrintRow("serial", grid, report.serial, report.per_pixel,
+             report.serial.identical);
     for (int threads : thread_counts) {
-      FrameTiming t = TimeFrames(evaluator, grid, eps, tau, threads,
-                                 /*tile_shared=*/false, reps, &eps_baseline,
-                                 &tau_baseline);
+      FrameTiming t = TimeFrames(evaluator, grid, eps, tau, threads, reps,
+                                 eps_oracle, tau_oracle);
       all_identical = all_identical && t.identical;
-      report.sweeps.push_back({threads, false, t});
+      report.sweeps.push_back({threads, t});
       char label[32];
       std::snprintf(label, sizeof(label), "par-%d", threads);
-      std::printf("%14s %14.0f %14.0f %10.2f %12llu %6s\n", label,
-                  PixelsPerSec(grid, t.eps_seconds),
-                  PixelsPerSec(grid, t.tau_seconds),
-                  t.eps_seconds > 0.0
-                      ? report.serial.eps_seconds / t.eps_seconds
-                      : 0.0,
-                  static_cast<unsigned long long>(t.eps_nodes_visited),
-                  t.identical ? "yes" : "NO");
-    }
-    for (int threads : shared_threads) {
-      FrameTiming t = TimeFrames(evaluator, grid, eps, tau, threads,
-                                 /*tile_shared=*/true, reps,
-                                 /*eps_baseline=*/nullptr, &tau_baseline);
-      all_identical = all_identical && t.identical;
-      all_certified = all_certified && t.certified;
-      report.sweeps.push_back({threads, true, t});
-      char label[32];
-      std::snprintf(label, sizeof(label), "shared-%d", threads);
-      std::printf("%14s %14.0f %14.0f %10.2f %12llu %6s\n", label,
-                  PixelsPerSec(grid, t.eps_seconds),
-                  PixelsPerSec(grid, t.tau_seconds),
-                  t.eps_seconds > 0.0
-                      ? report.serial.eps_seconds / t.eps_seconds
-                      : 0.0,
-                  static_cast<unsigned long long>(t.eps_nodes_visited),
-                  t.identical && t.certified ? "yes" : "NO");
+      PrintRow(label, grid, t, report.per_pixel, t.identical);
     }
     reports.push_back(std::move(report));
   }
+
+  KdeEvaluator exact = bench.MakeEvaluator(Method::kExact);
+  const bool exact_identical =
+      ExactFramesIdentical(exact, bench.data_bounds(), thread_counts,
+                           sizeof(thread_counts) / sizeof(thread_counts[0]));
+  std::printf("\nEXACT frames vs per-pixel EvaluateExact: bitwise %s\n",
+              exact_identical ? "equal" : "UNEQUAL");
+  all_identical = all_identical && exact_identical;
 
   PixelGrid leaf_grid(reports.front().px, reports.front().px,
                       bench.data_bounds());
@@ -397,27 +439,30 @@ int main() {
     const ResolutionReport& report = reports[r];
     std::fprintf(json, "%s{\"width\":%d,\"height\":%d,\"tau\":%.17g,",
                  r == 0 ? "" : ",", report.px, report.px, report.tau);
-    std::fprintf(json,
-                 "\"serial\":{\"eps_pixels_per_sec\":%.3f,"
-                 "\"tau_pixels_per_sec\":%.3f,"
-                 "\"eps_nodes_visited\":%llu,\"tau_nodes_visited\":%llu},",
-                 PixelsPerSec(report.px, report.serial.eps_seconds),
-                 PixelsPerSec(report.px, report.serial.tau_seconds),
-                 static_cast<unsigned long long>(
-                     report.serial.eps_nodes_visited),
-                 static_cast<unsigned long long>(
-                     report.serial.tau_nodes_visited));
+    for (const auto& [name, t] :
+         {std::pair<const char*, const FrameTiming*>{"per_pixel",
+                                                     &report.per_pixel},
+          {"serial", &report.serial}}) {
+      std::fprintf(json,
+                   "\"%s\":{\"eps_pixels_per_sec\":%.3f,"
+                   "\"tau_pixels_per_sec\":%.3f,"
+                   "\"eps_nodes_visited\":%llu,\"tau_nodes_visited\":%llu},",
+                   name, PixelsPerSec(report.px, t->eps_seconds),
+                   PixelsPerSec(report.px, t->tau_seconds),
+                   static_cast<unsigned long long>(t->eps_nodes_visited),
+                   static_cast<unsigned long long>(t->tau_nodes_visited));
+    }
     std::fprintf(json, "\"sweeps\":[");
     for (size_t i = 0; i < report.sweeps.size(); ++i) {
       const Sweep& s = report.sweeps[i];
       std::fprintf(
           json,
-          "%s{\"threads\":%d,\"tile_shared\":%s,"
+          "%s{\"threads\":%d,"
           "\"eps_pixels_per_sec\":%.3f,\"tau_pixels_per_sec\":%.3f,"
           "\"eps_speedup\":%.4f,\"tau_speedup\":%.4f,"
           "\"eps_nodes_visited\":%llu,\"tau_nodes_visited\":%llu,"
           "\"tile_nodes_visited\":%llu,\"tiles_decided\":%llu}",
-          i == 0 ? "" : ",", s.threads, s.tile_shared ? "true" : "false",
+          i == 0 ? "" : ",", s.threads,
           PixelsPerSec(report.px, s.timing.eps_seconds),
           PixelsPerSec(report.px, s.timing.tau_seconds),
           s.timing.eps_seconds > 0.0
@@ -457,8 +502,8 @@ int main() {
 
   if (!all_identical || !all_certified) {
     std::fprintf(stderr,
-                 "FAIL: parallel/SoA output diverged from its baseline or a "
-                 "tile-shared certificate was violated\n");
+                 "FAIL: engine/SoA output diverged from its oracle or a "
+                 "certificate was violated\n");
     return 1;
   }
   return 0;

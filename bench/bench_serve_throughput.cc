@@ -60,7 +60,7 @@ struct SweepResult {
   double p99_ms = 0.0;
   uint64_t browned = 0;  // requests served below their asked tier
   uint64_t shed = 0;     // submits rejected (admission or governor ceiling)
-  uint64_t cache_hits = 0;  // tile-frontier cache hits (tile-shared sweeps)
+  uint64_t cache_hits = 0;  // chunk-frontier cache hits
 };
 
 // `oversubscribe` multiplies the closed-loop client count per worker (2 is
@@ -73,11 +73,10 @@ struct SweepResult {
 SweepResult RunSweep(const kdv::KdeEvaluator& evaluator,
                      const kdv::PixelGrid& grid, int threads, int requests,
                      int oversubscribe, bool governor,
-                     double certified_seconds, bool tile_shared = false) {
+                     double certified_seconds) {
   RenderService::Options options;
   options.num_threads = threads;
   options.max_queue = static_cast<size_t>(2 * threads);
-  options.tile_shared = tile_shared;
   if (governor) {
     options.governor.enabled = true;
     options.governor.queue_wait_saturation_seconds =
@@ -164,8 +163,11 @@ int main() {
                      [&](int t) { return hw != 0 && t > static_cast<int>(2 * hw); }),
       thread_counts.end());
 
-  std::printf("\n%8s %10s %12s %10s %10s %12s\n", "threads", "requests",
-              "req/sec", "p50(ms)", "p99(ms)", "shed-retry");
+  // Saturated closed loop. Every request renders the same viewport, so the
+  // epoch's frontier cache serves all but the cold frames' region passes.
+  std::printf("\n%8s %10s %12s %10s %10s %12s %10s\n", "threads",
+              "requests", "req/sec", "p50(ms)", "p99(ms)", "shed-retry",
+              "cache-hit");
   // Calibration render for the governor sweeps below.
   Timer certified_timer;
   (void)RenderEpsFrameParallel(evaluator, grid, 0.05, {}, nullptr, {}, nullptr);
@@ -177,25 +179,9 @@ int main() {
                              /*oversubscribe=*/2, /*governor=*/false,
                              certified_seconds);
     results.push_back(r);
-    std::printf("%8d %10d %12.1f %10.2f %10.2f %12llu\n", r.threads,
-                r.requests, r.rps, r.p50_ms, r.p99_ms,
-                static_cast<unsigned long long>(r.shed_retries));
-  }
-
-  // Tile-shared sweeps: same saturated closed loop with shared-traversal
-  // tile refinement and the epoch-keyed frontier cache on. Repeated renders
-  // of the same viewport reuse the cached frontiers, so req/sec should rise
-  // and cache hits should approach the request count minus the cold frames.
-  std::printf("\n%8s %10s %12s %10s %10s %12s  (tile-shared)\n", "threads",
-              "requests", "req/sec", "p50(ms)", "p99(ms)", "cache-hit");
-  std::vector<SweepResult> shared_results;
-  for (int threads : thread_counts) {
-    SweepResult r = RunSweep(evaluator, grid, threads, requests,
-                             /*oversubscribe=*/2, /*governor=*/false,
-                             certified_seconds, /*tile_shared=*/true);
-    shared_results.push_back(r);
-    std::printf("%8d %10d %12.1f %10.2f %10.2f %12llu\n", r.threads,
-                r.requests, r.rps, r.p50_ms, r.p99_ms,
+    std::printf("%8d %10d %12.1f %10.2f %10.2f %12llu %10llu\n",
+                r.threads, r.requests, r.rps, r.p50_ms, r.p99_ms,
+                static_cast<unsigned long long>(r.shed_retries),
                 static_cast<unsigned long long>(r.cache_hits));
   }
 
@@ -242,18 +228,6 @@ int main() {
   std::fprintf(json, "\"requests_per_sweep\":%d,\"sweeps\":[", requests);
   for (size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
-    std::fprintf(json,
-                 "%s{\"threads\":%d,\"requests\":%d,"
-                 "\"wall_seconds\":%.6f,\"requests_per_sec\":%.3f,"
-                 "\"latency_p50_ms\":%.4f,\"latency_p99_ms\":%.4f,"
-                 "\"shed_retries\":%llu}",
-                 i == 0 ? "" : ",", r.threads, r.requests, r.wall_seconds,
-                 r.rps, r.p50_ms, r.p99_ms,
-                 static_cast<unsigned long long>(r.shed_retries));
-  }
-  std::fprintf(json, "],\"tile_shared_sweeps\":[");
-  for (size_t i = 0; i < shared_results.size(); ++i) {
-    const SweepResult& r = shared_results[i];
     std::fprintf(json,
                  "%s{\"threads\":%d,\"requests\":%d,"
                  "\"wall_seconds\":%.6f,\"requests_per_sec\":%.3f,"

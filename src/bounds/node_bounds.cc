@@ -73,42 +73,46 @@ KarlLinearBounds::KarlLinearBounds(const KernelParams& params,
 BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
   const double n = static_cast<double>(stats.count());
+  const double w = params_.weight;
   XInterval xi = ProfileInterval(params_, stats, q);
-  if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
-  }
+  // e^-x at both ends of the interval, each evaluated once: shared by the
+  // trivial bounds and the chord upper bound.
+  const double e_min = ClampedExpNeg(xi.x_min);
+  const double e_max = ClampedExpNeg(xi.x_max);
+  const BoundPair trivial{n * w * e_max, n * w * e_min};  // TrivialBounds
+  if (xi.x_max - xi.x_min < kDegenerateInterval) return trivial;
 
   const double s1 = stats.SumSquaredDistances(q);
   const double sum_x = params_.gamma * s1;  // sum_i x_i
-  const double w = params_.weight;
 
   BoundPair b;
-  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max);
+  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max, e_min, e_max);
   b.upper = w * (upper.m * sum_x + upper.k * n);
 
   double t = GaussianTangentPoint(params_.gamma, s1, n, xi.x_min, xi.x_max);
   LinearCoeffs lower = ExpTangentLower(t);
   b.lower = w * (lower.m * sum_x + lower.k * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, trivial);
 }
 
 BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
                                            const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
+  const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
-  if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
-  }
+  const double e_min = ClampedExpNeg(xi.x_min);
+  const double e_max = ClampedExpNeg(xi.x_max);
+  const BoundPair trivial{n * w * e_max, n * w * e_min};  // TrivialBounds
+  if (xi.x_max - xi.x_min < kDegenerateInterval) return trivial;
 
   double s1_min = 0.0, s1_max = 0.0;
   stats.SumSquaredDistancesRange(query_rect, &s1_min, &s1_max);
   const double sx_min = params_.gamma * s1_min;
   const double sx_max = params_.gamma * s1_max;
-  const double w = params_.weight;
 
   BoundPair b;
-  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max);
+  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max, e_min, e_max);
   b.upper = w * (MaxTerm(upper.m, sx_min, sx_max) + upper.k * n);
 
   // Tangent at the mid-range mean argument; any tangent point yields a valid
@@ -118,7 +122,7 @@ BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
   LinearCoeffs lower = ExpTangentLower(t);
   b.lower = w * (MinTerm(lower.m, sx_min, sx_max) + lower.k * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, trivial);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,10 +176,14 @@ BoundPair QuadGaussianBounds::Evaluate(const NodeStats& stats,
 BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
                                              const Rect& query_rect) const {
   const double n = static_cast<double>(stats.count());
+  const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
-  if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
-  }
+  // As in Evaluate: e^-x at the interval ends and at the tangent point, each
+  // evaluated once.
+  const double e_min = ClampedExpNeg(xi.x_min);
+  const double e_max = ClampedExpNeg(xi.x_max);
+  const BoundPair trivial{n * w * e_max, n * w * e_min};  // TrivialBounds
+  if (xi.x_max - xi.x_min < kDegenerateInterval) return trivial;
 
   double s1_min = 0.0, s1_max = 0.0;
   stats.SumSquaredDistancesRange(query_rect, &s1_min, &s1_max);
@@ -186,25 +194,25 @@ BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
   const double g = params_.gamma;
   const double sx_min = g * s1_min, sx_max = g * s1_max;
   const double sxsq_min = g * g * s2_min, sxsq_max = g * g * s2_max;
-  const double w = params_.weight;
 
   BoundPair b;
-  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max, e_min, e_max);
   b.upper = w * (MaxTerm(upper.a, sxsq_min, sxsq_max) +
                  MaxTerm(upper.b, sx_min, sx_max) + upper.c * n);
 
   double t = GaussianTangentPoint(g, 0.5 * (s1_min + s1_max), n, xi.x_min,
                                   xi.x_max);
+  const double e_t = ClampedExpNeg(t);
   if (xi.x_max - t < kDegenerateInterval) {
-    LinearCoeffs lower = ExpTangentLower(t);
+    LinearCoeffs lower = ExpTangentLower(t, e_t);
     b.lower = w * (MinTerm(lower.m, sx_min, sx_max) + lower.k * n);
   } else {
-    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max);
+    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max, e_t, e_max);
     b.lower = w * (MinTerm(lower.a, sxsq_min, sxsq_max) +
                    MinTerm(lower.b, sx_min, sx_max) + lower.c * n);
   }
 
-  return Finalize(b, n, xi);
+  return Finalize(b, trivial);
 }
 
 // ---------------------------------------------------------------------------

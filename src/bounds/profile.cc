@@ -9,9 +9,13 @@
 namespace kdv {
 
 LinearCoeffs ExpChordUpper(double x_min, double x_max) {
+  return ExpChordUpper(x_min, x_max, ClampedExpNeg(x_min),
+                       ClampedExpNeg(x_max));
+}
+
+LinearCoeffs ExpChordUpper(double x_min, double x_max, double e_min,
+                           double e_max) {
   KDV_DCHECK(x_max > x_min);
-  const double e_min = ClampedExpNeg(x_min);
-  const double e_max = ClampedExpNeg(x_max);
   LinearCoeffs lin;
   lin.m = (e_max - e_min) / (x_max - x_min);
   lin.k = e_min - lin.m * x_min;

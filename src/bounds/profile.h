@@ -39,6 +39,9 @@ struct QuadraticCoeffs {
 // Chord through (x_min, e^-x_min) and (x_max, e^-x_max); upper-bounds exp(-x)
 // on [x_min, x_max] by convexity. Requires x_max > x_min.
 LinearCoeffs ExpChordUpper(double x_min, double x_max);
+// The same, given e_min = ClampedExpNeg(x_min), e_max = ClampedExpNeg(x_max).
+LinearCoeffs ExpChordUpper(double x_min, double x_max, double e_min,
+                           double e_max);
 
 // Tangent to exp(-x) at t; lower-bounds exp(-x) everywhere by convexity.
 LinearCoeffs ExpTangentLower(double t);

@@ -100,7 +100,7 @@ class KdeEvaluator {
     return RefineEps(q, eps, nullptr, &control, scratch, nullptr);
   }
 
-  // Tile-shared variant: the scratch stream is seeded from `frontier`
+  // Seeded variant: the scratch stream is seeded from a chunk `frontier`
   // (core/tile_refiner.h) instead of the tree root. The certificate is
   // unchanged: |R(q) - F_P(q)| <= ε·F_P(q) for every q inside the tile the
   // frontier was built for.

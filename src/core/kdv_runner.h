@@ -25,8 +25,8 @@ struct BatchStats {
   bool cancelled = false;         // cut short by the CancelToken
   uint64_t numeric_faults = 0;    // queries clamped by numerical hardening
 
-  // Shared-traversal (tile-shared) pruning-efficiency counters, populated by
-  // the frame engine when RenderOptions::tile_shared is on.
+  // Shared-traversal pruning-efficiency counters: the frame engine's chunk
+  // region passes (zero for EXACT and non-2-d indexes).
   uint64_t tile_nodes_visited = 0;   // region bound evaluations (tile passes)
   uint64_t tile_accepted = 0;        // nodes folded into tile baselines
   uint64_t tile_pruned = 0;          // subtrees discarded tile-wide

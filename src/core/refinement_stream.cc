@@ -12,20 +12,6 @@
 
 namespace kdv {
 
-namespace {
-
-// A certified interval is acceptable when both ends are finite and any
-// inversion is attributable to floating-point drift (which the envelope
-// clamp absorbs). Larger inversions mean the bound math is broken for this
-// query and must not be trusted.
-bool IntervalAcceptable(double lower, double upper) {
-  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
-  const double drift = 1e-9 * (1.0 + std::abs(lower));
-  return upper >= lower - drift;
-}
-
-}  // namespace
-
 RefinementStream::RefinementStream(const KdTree* tree,
                                    const KernelParams& params,
                                    const NodeBounds* bounds)
@@ -46,8 +32,7 @@ RefinementStream::RefinementStream(RefinementStream&& other) noexcept
       bounds_(other.bounds_),
       q_(other.q_),
       heap_(std::move(other.heap_)),
-      seed_nodes_(other.seed_nodes_),
-      seed_count_(other.seed_count_),
+      seed_(other.seed_),
       seed_next_(other.seed_next_),
       lb_(other.lb_),
       ub_(other.ub_),
@@ -73,8 +58,7 @@ RefinementStream& RefinementStream::operator=(
   bounds_ = other.bounds_;
   q_ = other.q_;
   heap_ = std::move(other.heap_);
-  seed_nodes_ = other.seed_nodes_;
-  seed_count_ = other.seed_count_;
+  seed_ = other.seed_;
   seed_next_ = other.seed_next_;
   lb_ = other.lb_;
   ub_ = other.ub_;
@@ -107,8 +91,8 @@ void RefinementStream::SyncCharge() {
 void RefinementStream::Reset(const Point& q) {
   q_ = q;
   heap_.clear();  // keeps capacity: no per-query reallocation
-  seed_nodes_ = nullptr;
-  seed_count_ = seed_next_ = 0;
+  seed_ = nullptr;
+  seed_next_ = 0;
   lb_ = ub_ = best_lb_ = best_ub_ = 0.0;
   poisoned_ = false;
   iterations_ = 0;
@@ -153,23 +137,31 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
 
   // Seed from the tile pass verbatim: the baseline plus each undecided
   // node's region interval is a certified envelope for every q in the tile,
-  // and the region sums are precomputed, so priming costs ZERO per-pixel
-  // bound evaluations and ZERO heap traffic. Frontier nodes enter the heap
-  // lazily (see Step()): only the nodes whose region slack actually blocks
-  // termination ever cost an Evaluate or a heap insert.
-  seed_nodes_ = frontier.nodes.data();
-  seed_count_ = frontier.nodes.size();
+  // so priming costs ZERO per-pixel bound evaluations and heap traffic.
+  seed_ = &frontier;
   seed_next_ = 0;
-  lb_ = frontier.base_lower + frontier.frontier_lower;
-  ub_ = frontier.base_upper + frontier.frontier_upper;
-  if (!IntervalAcceptable(lb_, ub_)) {
+  lb_ = ub_ = 0.0;  // heap side: empty
+  double lower, upper;
+  RawTotals(&lower, &upper);
+  if (!IntervalAcceptable(lower, upper)) {
     SetUniversalEnvelope();
     poisoned_ = true;
     return;
   }
-  best_lb_ = lb_;
-  best_ub_ = ub_;
+  best_lb_ = lower;
+  best_ub_ = upper;
   if (best_ub_ < best_lb_) best_ub_ = best_lb_;
+}
+
+void RefinementStream::RawTotals(double* lower, double* upper) const {
+  if (seed_ == nullptr) {
+    *lower = lb_;
+    *upper = ub_;
+    return;
+  }
+  const TileFrontier::Sum& rest = seed_->suffix[seed_next_];
+  *lower = (seed_->base_lower + rest.lower) + lb_;
+  *upper = (seed_->base_upper + rest.upper) + ub_;
 }
 
 void RefinementStream::Push(const QueueEntry& entry) {
@@ -192,7 +184,7 @@ double RefinementStream::LeafSum(const KdTree::Node& node) const {
 void RefinementStream::Poison() {
   poisoned_ = true;
   heap_.clear();
-  seed_next_ = seed_count_;  // pending injections are abandoned too
+  seed_ = nullptr;  // pending injections are abandoned too
 }
 
 void RefinementStream::SetUniversalEnvelope() {
@@ -202,12 +194,13 @@ void RefinementStream::SetUniversalEnvelope() {
   ub_ = best_ub_ = static_cast<double>(tree_->num_points()) * params_.weight *
                    KernelProfile(params_.type, 0.0);
   heap_.clear();
-  seed_next_ = seed_count_;
+  seed_ = nullptr;
 }
 
 bool RefinementStream::Step() {
   if (poisoned_) return false;
-  const bool have_seed = seed_next_ < seed_count_;
+  const bool have_seed =
+      seed_ != nullptr && seed_next_ < seed_->nodes.size();
   if (heap_.empty() && !have_seed) return false;
   ++iterations_;
 
@@ -219,21 +212,21 @@ bool RefinementStream::Step() {
   // evaluating anything.
   const bool inject =
       have_seed &&
-      (heap_.empty() || seed_nodes_[seed_next_].upper -
-                                seed_nodes_[seed_next_].lower >
-                            heap_.front().gap);
+      (heap_.empty() ||
+       seed_->nodes[seed_next_].upper - seed_->nodes[seed_next_].lower >
+           heap_.front().gap);
   if (inject) {
-    // Injection swaps the node's tile-wide region interval (already in the
-    // running totals since Reset) for this pixel's own bounds — one
+    // Injection swaps the node's tile-wide region interval (it leaves the
+    // suffix sum as seed_next_ advances) for this pixel's own bounds — one
     // Evaluate, one heap insert. For pixels away from the tile's worst
     // corner this alone closes most of the region slack.
-    const TileFrontier::Node& fn = seed_nodes_[seed_next_++];
+    const TileFrontier::Node& fn = seed_->nodes[seed_next_++];
     BoundPair pixel_bounds = bounds_->Evaluate(tree_->node(fn.node).stats, q_);
     ++node_evals_;
     KDV_FAILPOINT_CORRUPT("refine.step", pixel_bounds.lower,
                           pixel_bounds.upper);
-    lb_ += pixel_bounds.lower - fn.lower;
-    ub_ += pixel_bounds.upper - fn.upper;
+    lb_ += pixel_bounds.lower;
+    ub_ += pixel_bounds.upper;
     Push({pixel_bounds.upper - pixel_bounds.lower, fn.node,
           pixel_bounds.lower, pixel_bounds.upper});
   } else {
@@ -261,7 +254,9 @@ bool RefinementStream::Step() {
     }
   }
 
-  if (!IntervalAcceptable(lb_, ub_)) {
+  double lower, upper;
+  RawTotals(&lower, &upper);
+  if (!IntervalAcceptable(lower, upper)) {
     // Numeric fault (NaN/Inf totals or a non-drift inversion): keep the last
     // certified envelope rather than letting the bad values reach callers.
     Poison();
@@ -271,11 +266,11 @@ bool RefinementStream::Step() {
   if (exhausted()) {
     // Fully refined: running totals are the exact value (modulo FP drift);
     // they override the envelope.
-    best_lb_ = lb_;
-    best_ub_ = ub_;
+    best_lb_ = lower;
+    best_ub_ = upper;
   } else {
-    best_lb_ = std::max(best_lb_, lb_);
-    best_ub_ = std::min(best_ub_, ub_);
+    best_lb_ = std::max(best_lb_, lower);
+    best_ub_ = std::min(best_ub_, upper);
   }
   if (best_ub_ < best_lb_) best_ub_ = best_lb_;
   return true;

@@ -21,6 +21,7 @@
 #ifndef QUADKDV_CORE_REFINEMENT_STREAM_H_
 #define QUADKDV_CORE_REFINEMENT_STREAM_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,15 @@
 #include "kernel/kernel.h"
 
 namespace kdv {
+
+// The stream's, the evaluator's and the tile pass's one interval check: both
+// ends finite, and any inversion within floating-point drift (which the
+// envelope clamp absorbs). The drift floor is absolute, so at very low
+// density it cannot tell a rounding-collapsed interval from a sound one.
+inline bool IntervalAcceptable(double lower, double upper) {
+  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
+  return upper >= lower - 1e-9 * (1.0 + std::abs(lower));
+}
 
 class RefinementStream {
  public:
@@ -60,14 +70,16 @@ class RefinementStream {
   void Reset(const Point& q);
 
   // Seeded variant: primes the stream from a tile frontier instead of the
-  // tree root, in O(1) — the running totals start at the frontier baseline
-  // plus the precomputed sum of the region intervals, and frontier nodes
-  // are injected into the heap lazily (descending region gap) as their
-  // slack comes to block termination. The shared part of the traversal
+  // tree root, in O(1) — the interval starts at the frontier baseline plus
+  // the precomputed sum of the region intervals, and frontier nodes are
+  // injected into the heap lazily (descending region gap) as their slack
+  // comes to block termination. The shared part of the traversal
   // (everything the tile pass accepted or pruned) is never re-derived. The
   // frontier must be valid, built for a tile containing q, and must outlive
   // the stream's use of it (until the next Reset); requires
-  // bounds != nullptr.
+  // bounds != nullptr. A region interval is never subtracted from a running
+  // total (see tile_frontier.h): the interval is composed after every step
+  // as (baseline + suffix sum of the un-injected nodes) + heap totals.
   void Reset(const Point& q, const TileFrontier& frontier);
 
   // Performs one refinement step (pop the loosest node, replace it by its
@@ -85,7 +97,10 @@ class RefinementStream {
   // Interval width; 0 once exhausted (up to FP drift, which is clamped).
   double gap() const { return best_ub_ - best_lb_; }
 
-  bool exhausted() const { return heap_.empty() && seed_next_ >= seed_count_; }
+  bool exhausted() const {
+    return heap_.empty() &&
+           (seed_ == nullptr || seed_next_ >= seed_->nodes.size());
+  }
   // True once a bound update produced NaN/Inf or an inverted interval; the
   // envelope is frozen at the last certified values and Step() refuses to
   // refine further.
@@ -115,6 +130,8 @@ class RefinementStream {
   // memory budget. Capacity never shrinks while the stream lives, so the
   // delta is one-directional until the destructor releases it all.
   void SyncCharge();
+  // The running totals, plus (seeded) baseline and un-injected suffix sum.
+  void RawTotals(double* lower, double* upper) const;
 
   double LeafSum(const KdTree::Node& node) const;
   // Freezes the stream after a numeric fault, discarding pending work.
@@ -133,15 +150,13 @@ class RefinementStream {
   // buffer).
   std::vector<QueueEntry> heap_;
   // Lazily injected tile frontier (seeded resets only). The nodes are
-  // consumed front-to-back (descending region gap); every node already
-  // contributes its region interval to lb_/ub_ from Reset, and injection
-  // swaps that interval for this pixel's own bounds with a single Evaluate.
-  // Never owned; a root Reset(q) clears it. Empty for root-seeded streams,
-  // so their behaviour (and output) is untouched.
-  const TileFrontier::Node* seed_nodes_ = nullptr;
-  size_t seed_count_ = 0;
+  // consumed front-to-back (descending region gap); injection swaps a
+  // node's region interval (in the suffix sums) for this pixel's own bounds
+  // with a single Evaluate. Never owned; a root Reset(q) clears it. Null
+  // for root-seeded streams, so their behaviour (and output) is untouched.
+  const TileFrontier* seed_ = nullptr;
   size_t seed_next_ = 0;
-  double lb_ = 0.0;       // raw running totals
+  double lb_ = 0.0;  // raw running totals (seeded: of the heap side only)
   double ub_ = 0.0;
   double best_lb_ = 0.0;  // monotone envelope
   double best_ub_ = 0.0;

@@ -14,14 +14,17 @@
 // and each frontier node carries its certified region interval
 //   n.lower <= F_n(q) <= n.upper   for every q in the tile,
 // so a pixel stream can be primed with ZERO per-pixel bound evaluations:
-// the region intervals are valid starting intervals (their sums are
-// precomputed in frontier_lower/frontier_upper, making priming O(1)), and
-// best-first refinement injects frontier nodes lazily — in descending
-// region-gap order — replacing each with this pixel's own bounds only when
-// its slack actually blocks termination. The frontier nodes are disjoint
-// subtrees covering exactly the points not accounted for by the baseline. A
-// frontier with valid == false must be ignored (the pixel falls back to
-// root-seeded refinement).
+// the region intervals are valid starting intervals (their suffix sums are
+// precomputed, making priming O(1)), and best-first refinement injects
+// frontier nodes lazily — in descending region-gap order — replacing each
+// with this pixel's own bounds only when its slack actually blocks
+// termination. The frontier nodes are disjoint subtrees covering exactly
+// the points not accounted for by the baseline. A frontier with
+// valid == false must be ignored (the pixel falls back to root-seeded
+// refinement).
+// Every total here is a fresh sum, never a running total that had
+// intervals subtracted from it: a region upper can exceed a pixel's density
+// by ~15 orders of magnitude, and that residue would swamp ε·F_P(q).
 #ifndef QUADKDV_CORE_TILE_FRONTIER_H_
 #define QUADKDV_CORE_TILE_FRONTIER_H_
 
@@ -53,10 +56,19 @@ struct TileFrontier {
   // each other and from every accepted/pruned node.
   std::vector<Node> nodes;
 
-  // Precomputed sums over `nodes` of the region interval ends, so seeding a
-  // pixel stream is O(1): lb = base_lower + frontier_lower (resp. upper).
-  double frontier_lower = 0.0;
-  double frontier_upper = 0.0;
+  // suffix[k] sums the region intervals of nodes[k..] back to front
+  // (nodes.size() + 1 entries, the last {0, 0}): a seeded stream that has
+  // injected k nodes reads its interval as (base + suffix[k]) + heap totals.
+  struct Sum {
+    double lower = 0.0;
+    double upper = 0.0;
+  };
+  std::vector<Sum> suffix;
+
+  // Totals over every node that survived the pass: L* of the εKDV budget,
+  // or the totals a whole-tile decision was taken on.
+  double region_lower = 0.0;
+  double region_upper = 0.0;
 
   // Whole-tile decisions: when `decided`, every pixel of the tile can be
   // finished with zero per-pixel work.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/refinement_stream.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -37,13 +38,6 @@ void RecordTilePass(const TileFrontier& out, double seconds) {
   o.pass_seconds->Record(seconds);
 }
 
-// Same acceptance test as the refinement stream: finite ends, inversion
-// within floating-point drift.
-bool IntervalAcceptable(double lower, double upper) {
-  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
-  return upper >= lower - 1e-9 * (1.0 + std::abs(lower));
-}
-
 struct RegionEntry {
   double gap = 0.0;
   int32_t node = -1;
@@ -65,6 +59,43 @@ struct GapThenNode {
     return a.node < b.node;
   }
 };
+
+// Fresh totals of the live entries' intervals. The loop's running totals
+// subtract every expanded node's interval, and a region upper can exceed
+// the tile's densities by ~15 orders of magnitude, so their residue can
+// swamp the densities themselves (see tile_frontier.h).
+TileFrontier::Sum FreshSum(const std::vector<RegionEntry>& a,
+                           const std::vector<RegionEntry>& b) {
+  TileFrontier::Sum sum;
+  for (const std::vector<RegionEntry>* entries : {&a, &b}) {
+    for (const RegionEntry& e : *entries) {
+      sum.lower += e.lower;
+      sum.upper += e.upper;
+    }
+  }
+  return sum;
+}
+
+// Whether region totals answer every pixel of the tile: εKDV
+// upper <= (1+ε)·lower; τKDV lower >= τ or upper <= τ.
+bool Settles(bool eps_mode, double param, const TileFrontier::Sum& t) {
+  if (eps_mode) return t.upper <= (1.0 + param) * t.lower;
+  return t.lower >= param || t.upper <= param;
+}
+
+void MarkDecided(bool eps_mode, double param, const TileFrontier::Sum& t,
+                 TileFrontier* out) {
+  out->decided = true;
+  out->valid = true;
+  out->region_lower = t.lower;
+  out->region_upper = t.upper;
+  if (eps_mode) {
+    out->decided_value = 0.5 * (t.lower + t.upper);
+  } else {
+    out->decided_above = t.lower >= param;
+  }
+  out->suffix.push_back({});
+}
 
 }  // namespace
 
@@ -106,35 +137,20 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
   BoundPair rb = bounds_->EvaluateRegion(tree_->node(root).stats, query_rect);
   ++out.nodes_visited;
   if (!IntervalAcceptable(rb.lower, rb.upper)) return out;  // valid == false
-  double total_lower = rb.lower;
-  double total_upper = rb.upper;
+  TileFrontier::Sum total{rb.lower, rb.upper};
   heap.push_back({rb.upper - rb.lower, root, rb.lower, rb.upper});
 
+  // Running totals propose a whole-tile decision; a fresh sum of the live
+  // entries confirms it, and replaces the totals when it refutes it.
   auto decided = [&]() {
-    if (eps_mode) {
-      if (total_upper <= (1.0 + param) * total_lower) {
-        out.decided = true;
-        out.decided_value = 0.5 * (total_lower + total_upper);
-        return true;
-      }
-      return false;
-    }
-    if (total_lower >= param) {
-      out.decided = true;
-      out.decided_above = true;
-      return true;
-    }
-    if (total_upper <= param) {
-      out.decided = true;
-      out.decided_above = false;
-      return true;
-    }
-    return false;
+    if (!Settles(eps_mode, param, total)) return false;
+    total = FreshSum(heap, deferred);
+    return Settles(eps_mode, param, total);
   };
 
   while (!heap.empty()) {
     if (decided()) {
-      out.valid = true;
+      MarkDecided(eps_mode, param, total, &out);
       return out;
     }
     if (out.nodes_visited >= options_.max_nodes_visited) break;
@@ -154,8 +170,8 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       deferred.push_back(top);
       continue;
     }
-    total_lower -= top.lower;
-    total_upper -= top.upper;
+    total.lower -= top.lower;
+    total.upper -= top.upper;
     bool fault = false;
     for (int32_t child : {node.left, node.right}) {
       BoundPair cb =
@@ -170,28 +186,31 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
         ++out.pruned;
         continue;
       }
-      total_lower += cb.lower;
-      total_upper += cb.upper;
+      total.lower += cb.lower;
+      total.upper += cb.upper;
       heap.push_back({cb.upper - cb.lower, child, cb.lower, cb.upper});
       std::push_heap(heap.begin(), heap.end(), GapLess());
     }
-    if (fault || !IntervalAcceptable(total_lower, total_upper)) {
+    if (fault || !IntervalAcceptable(total.lower, total.upper)) {
       return out;  // valid == false: pixels fall back to root seeding
     }
   }
-  if (decided()) {
-    out.valid = true;
+  total = FreshSum(heap, deferred);
+  if (Settles(eps_mode, param, total)) {
+    MarkDecided(eps_mode, param, total, &out);
     return out;
   }
 
   // Phase 2: fold tight intervals into the per-tile baseline. Budget for
-  // εKDV is α·ε·L* against the *final* lower total (see header proof); τKDV
-  // only absorbs exactly-tight (zero gap) intervals so per-pixel streams can
-  // still reach the exact remainder.
+  // εKDV is α·ε·L* against the final lower total (see header proof); τKDV
+  // only absorbs exactly-tight (zero gap) intervals so per-pixel streams
+  // can still reach the exact remainder.
+  out.region_lower = total.lower;
+  out.region_upper = total.upper;
   deferred.insert(deferred.end(), heap.begin(), heap.end());
   std::sort(deferred.begin(), deferred.end(), GapThenNode());
   const double budget =
-      eps_mode ? options_.accept_fraction * param * total_lower : 0.0;
+      eps_mode ? options_.accept_fraction * param * total.lower : 0.0;
   double accepted_gap = 0.0;
   for (const RegionEntry& e : deferred) {
     if (e.gap <= 0.0 || accepted_gap + e.gap <= budget) {
@@ -201,9 +220,12 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       ++out.accepted;
     } else {
       out.nodes.push_back({e.node, e.lower, e.upper});
-      out.frontier_lower += e.lower;
-      out.frontier_upper += e.upper;
     }
+  }
+  if (out.nodes.empty()) {
+    // Everything was accepted: the baseline alone answers every pixel.
+    MarkDecided(eps_mode, param, {out.base_lower, out.base_upper}, &out);
+    return out;
   }
   // Descending region gap (ties: node id) — the stream's lazy-injection
   // order; see tile_frontier.h.
@@ -214,15 +236,10 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
               if (ga != gb) return ga > gb;
               return a.node < b.node;
             });
-
-  if (out.nodes.empty()) {
-    // Everything was accepted: the baseline alone answers every pixel.
-    out.decided = true;
-    if (eps_mode) {
-      out.decided_value = 0.5 * (out.base_lower + out.base_upper);
-    } else {
-      out.decided_above = out.base_lower >= param;
-    }
+  out.suffix.resize(out.nodes.size() + 1);
+  for (size_t k = out.nodes.size(); k-- > 0;) {
+    out.suffix[k].lower = out.nodes[k].lower + out.suffix[k + 1].lower;
+    out.suffix[k].upper = out.nodes[k].upper + out.suffix[k + 1].upper;
   }
   out.valid = true;
   return out;

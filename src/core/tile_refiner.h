@@ -18,8 +18,10 @@
 // the termination test, the whole tile is decided with zero per-pixel work.
 //
 // εKDV budget argument (why exhausted seeded streams stay certified): let
-// L* be the tile's final region lower total before acceptance and G the
-// accumulated gap of accepted nodes, with G <= α·ε·L* and α <= 1. For any
+// L* be the tile's final region lower total before acceptance (a fresh sum
+// of the surviving entries — the pass's running totals only propose
+// decisions, see tile_frontier.h) and G the accumulated gap of accepted
+// nodes, with G <= α·ε·L* and α <= 1. For any
 // pixel q, the exhausted seeded interval is [B_l + e(q), B_u + e(q)] where
 // e(q) = Σ_frontier F_n(q) >= L* - B_l, so
 //   ub - lb = B_u - B_l = G <= α·ε·L* <= ε·(B_l + e(q)) = ε·lb,

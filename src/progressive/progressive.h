@@ -14,7 +14,7 @@
 //
 // The evaluation itself is the frame engine's (viz/parallel_render.h) run
 // over the schedule's pixel order, so progressive frames share its scratch
-// reuse, thread fan-out, tile-shared mode and frame metrics.
+// reuse, thread fan-out, chunk region passes and frame metrics.
 #ifndef QUADKDV_PROGRESSIVE_PROGRESSIVE_H_
 #define QUADKDV_PROGRESSIVE_PROGRESSIVE_H_
 
@@ -64,14 +64,14 @@ struct ProgressiveResult {
 
 // Runs the schedule under `control` (deadline + cancellation) on the frame
 // engine (viz/parallel_render.h): the schedule's representative pixels are
-// evaluated (εKDV, the evaluator's method) in first-visit order, fanned out
-// over `pool` per `options`; then every op whose representative was
-// evaluated paints the unevaluated pixels of its region, finer ops over
-// coarser ones (skipped when every pixel was evaluated). On one thread with
-// tile-sharing off, the frame cut short at any point is the one a serial
-// op-by-op run of the schedule stopped there paints. With tile-sharing the
-// engine keeps its chunk order over the whole grid and the paint pass fills
-// in whatever a stop left out.
+// evaluated (εKDV, the evaluator's method) in first-visit order, grouped by
+// chunk (the chunk of the frame's center first), fanned out over `pool` per
+// `options`; then every op whose representative was evaluated paints the
+// unevaluated pixels of its region, finer ops over coarser ones (skipped
+// when every pixel was evaluated). Each evaluated pixel carries the value
+// RenderEpsFrameParallel gives it at the same tile_rows, so a
+// completed schedule reproduces that frame bit for bit, and a prefix of the
+// schedule paints what an op-by-op run over those values paints.
 ProgressiveResult RenderProgressive(const KdeEvaluator& evaluator,
                                     const PixelGrid& grid, double eps,
                                     const QueryControl& control,

@@ -444,7 +444,6 @@ void RenderService::Execute(const std::shared_ptr<Job>& job) {
   // Epoch-keyed frontier reuse: the epoch's renderer owns the cache, and the
   // epoch id in the key makes stale reuse across hot-swaps structurally
   // impossible.
-  ropts.parallel.tile_shared = options_.tile_shared;
   ropts.parallel.cache_epoch = epoch->id;
   ropts.tile_pool = tile_pool_;
   ropts.trace = &job->span;

@@ -188,8 +188,7 @@ struct ServiceStats {
   // emitters render the epoch as null until epoch_published is true.
   uint64_t epoch = 0;
   bool epoch_published = false;
-  // Tile-shared renders served from a cached frontier (0 unless
-  // Options::tile_shared is on).
+  // Certified-path frames served from a cached frontier.
   uint64_t frontier_cache_hits = 0;
 
   // Runtime self-defense (zero unless the governor/watchdog are enabled).
@@ -216,13 +215,11 @@ class RenderService {
     // pool (no submit cycle), and an exhausted helper pool merely sheds
     // tiles back onto the request worker.
     int intra_frame_threads = 1;
-    int tile_rows = 16;  // rows per tile work item (see viz/parallel_render.h)
-    // Shared-traversal tile refinement for the certified path (see
-    // viz/parallel_render.h). Each epoch's renderer keeps its own frontier
-    // cache, keyed by the epoch id, so progressive passes and repeated
-    // viewport renders skip the per-tile region pass and a hot-swap can
-    // never serve stale frontiers.
-    bool tile_shared = false;
+    // Chunk rows of the frame engine (see viz/parallel_render.h). Each
+    // epoch's renderer keeps its own frontier cache, keyed by the epoch id,
+    // so repeated viewport renders skip the chunks' region passes and a
+    // hot-swap can never serve stale frontiers.
+    int tile_rows = 16;
     BackoffPolicy backoff;
     uint64_t backoff_seed = 0x5EEDBACC0FFull;
     CircuitBreaker::Options breaker;

@@ -224,7 +224,7 @@ RenderOutcome ResilientRenderer::Render(
   // progressive brownout cap it runs on the caller alone, keeping the shared
   // tile pool free for full-tier requests.
   RenderOptions parallel_opts = opts.parallel;
-  if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
+  if (parallel_opts.frontier_cache == nullptr) {
     parallel_opts.frontier_cache = &frontier_cache_;
   }
   Executor* pool =
@@ -238,12 +238,9 @@ RenderOutcome ResilientRenderer::Render(
   // refinement work.
   const double refine_seconds =
       std::max(0.0, prog_timer.ElapsedSeconds() - prog.stats.tile_seconds);
-  if (parallel_opts.tile_shared) {
-    RenderObs::Get().tile_pass_seconds->Record(prog.stats.tile_seconds);
-    if (opts.trace != nullptr) {
-      opts.trace->AddStage(obs::TraceStage::kTilePass,
-                           prog.stats.tile_seconds);
-    }
+  RenderObs::Get().tile_pass_seconds->Record(prog.stats.tile_seconds);
+  if (opts.trace != nullptr) {
+    opts.trace->AddStage(obs::TraceStage::kTilePass, prog.stats.tile_seconds);
   }
   RenderObs::Get().refinement_seconds->Record(refine_seconds);
   if (opts.trace != nullptr) {

@@ -96,15 +96,13 @@ struct ResilientRenderOptions {
 
   // Intra-frame parallelism of the certified path: the progressive frame is
   // fanned out over `tile_pool` at `parallel.num_threads` (viz/
-  // parallel_render.h), and `parallel.tile_shared` turns on shared-traversal
-  // chunks, which pay as a work reduction even single-threaded. The budget
-  // covers the one frame; a frame cut short is painted from the pixels it
-  // evaluated, whatever the thread count. The pool is borrowed, never owned,
-  // and must outlive the call.
-  // When parallel.tile_shared is on and parallel.frontier_cache is null, the
-  // renderer substitutes its own cross-frame FrontierCache, so repeated
-  // renders of one viewport (pan-and-return) skip the tile region pass.
-  // parallel.cache_epoch should carry the serving epoch id.
+  // parallel_render.h). The budget covers the one frame; a frame cut short
+  // is painted from the pixels it evaluated, whatever the thread count. The
+  // pool is borrowed, never owned, and must outlive the call.
+  // When parallel.frontier_cache is null, the renderer substitutes its own
+  // cross-frame FrontierCache, so repeated renders of one viewport
+  // (pan-and-return) skip the chunks' region passes. parallel.cache_epoch
+  // should carry the serving epoch id.
   RenderOptions parallel;
   Executor* tile_pool = nullptr;
 
@@ -178,9 +176,9 @@ class ResilientRenderer {
 
   const KdeEvaluator* evaluator_;
 
-  // Cross-frame tile-shared frontier cache (viz/frontier_cache.h), used by
-  // the certified path when the caller enables tile_shared without
-  // supplying a cache of their own. Internally synchronized.
+  // Cross-frame frontier cache (viz/frontier_cache.h), used by the
+  // certified path when the caller supplies no cache of their own.
+  // Internally synchronized.
   mutable FrontierCache frontier_cache_;
 
   mutable std::mutex coarse_mu_;

@@ -1,7 +1,6 @@
-// Cross-frame cache of tile-shared refinement frontiers.
+// Cross-frame cache of the frame engine's chunk refinement frontiers.
 //
-// A frame rendered with RenderOptions::tile_shared pays one region-bound
-// pass per tile chunk (core/tile_refiner.h). The pass depends only on the
+// A frame pays one region-bound pass per chunk (core/tile_refiner.h). The pass depends only on the
 // immutable index, the viewport geometry and the query parameters — not on
 // which frame is being rendered — so progressive re-renders and repeated
 // requests for the same viewport can reuse the frontiers verbatim. The serve

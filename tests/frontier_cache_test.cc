@@ -1,4 +1,4 @@
-// FrontierCache: the epoch-keyed LRU cache of tile-shared refinement
+// FrontierCache: the epoch-keyed LRU cache of chunk refinement
 // frontiers (viz/frontier_cache.h). Covers LRU eviction order, same-key
 // replacement, the capacity-0 (disabled) and capacity-1 edges, and
 // concurrent Lookup/Insert. The capacity-0 cases are the regression tests

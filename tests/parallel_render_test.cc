@@ -1,14 +1,17 @@
 // Determinism and robustness suite for the intra-frame parallel renderer
 // and the SoA/scratch machinery beneath it.
 //
-// The load-bearing property is bit-identical output: an engine frame must
-// equal per-pixel evaluation (one fresh-stream EvaluateEps / EvaluateTau /
-// EvaluateExact call per pixel, no engine involved) byte for byte, for every
-// operation, thread count, and tile size — that is what lets the engine
-// ship certified frames. Beneath it, two refactors carry the same contract
-// at smaller scope: the SoA leaf kernel must match the AoS scalar loop
-// bitwise, and a Reset() scratch stream must be indistinguishable from a
-// freshly constructed one.
+// The load-bearing property is the frame contract of viz/parallel_render.h:
+// a pixel's value depends only on its chunk geometry and its own center.
+// For bounded methods on 2-d indexes an engine frame must equal the
+// independent chunk oracle (tests/chunk_oracle.h: a per-chunk region pass,
+// then one seeded evaluation per pixel) byte for byte, for every operation,
+// thread count, tile size and pixel order, while its ε certificates hold
+// against EvaluateExact and its τ masks equal the per-pixel masks. EXACT
+// frames stay bit-identical to per-pixel evaluation. Beneath it, two
+// refactors carry the same contract at smaller scope: the SoA leaf kernel
+// must match the AoS scalar loop bitwise, and a Reset() scratch stream must
+// be indistinguishable from a freshly constructed one.
 //
 // Everything here runs clean under ThreadSanitizer; CI's tsan job pulls the
 // suite in via `ctest -L concurrency`.
@@ -21,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chunk_oracle.h"
 #include "core/evaluator.h"
 #include "core/leaf_kernel.h"
 #include "core/refinement_stream.h"
@@ -76,8 +80,8 @@ uint64_t Bits(double v) {
   return ::testing::AssertionSuccess();
 }
 
-// Independent references: one fresh-stream evaluator call per pixel, with
-// the work counters of each call summed by hand.
+// Independent per-pixel references: one fresh-stream evaluator call per
+// pixel, with the work counters of each call summed by hand.
 void CountQuery(BatchStats* stats, uint64_t iterations, uint64_t points,
                 uint64_t nodes, bool numeric_fault) {
   ++stats->queries;
@@ -85,21 +89,6 @@ void CountQuery(BatchStats* stats, uint64_t iterations, uint64_t points,
   stats->points_scanned += points;
   stats->nodes_visited += nodes;
   if (numeric_fault) ++stats->numeric_faults;
-}
-
-std::vector<double> PerPixelEps(const KdeEvaluator& evaluator,
-                                const PixelGrid& grid, double eps,
-                                BatchStats* stats) {
-  std::vector<double> out(grid.num_pixels());
-  for (int py = 0; py < grid.height(); ++py) {
-    for (int px = 0; px < grid.width(); ++px) {
-      EvalResult r = evaluator.EvaluateEps(grid.PixelCenter(px, py), eps);
-      out[grid.PixelIndex(px, py)] = r.estimate;
-      CountQuery(stats, r.iterations, r.points_scanned, r.node_evals,
-                 r.numeric_fault);
-    }
-  }
-  return out;
 }
 
 std::vector<uint8_t> PerPixelTau(const KdeEvaluator& evaluator,
@@ -130,8 +119,26 @@ std::vector<double> PerPixelExact(const KdeEvaluator& evaluator,
   return out;
 }
 
+// Every pixel within ε of EvaluateExact (plus a rounding slack).
+::testing::AssertionResult WithinEps(const KdeEvaluator& evaluator,
+                                     const PixelGrid& grid, double eps,
+                                     const std::vector<double>& values) {
+  for (int py = 0; py < grid.height(); ++py) {
+    for (int px = 0; px < grid.width(); ++px) {
+      const double exact = evaluator.EvaluateExact(grid.PixelCenter(px, py));
+      const double v = values[grid.PixelIndex(px, py)];
+      if (!(std::abs(v - exact) <= eps * exact * (1.0 + 1e-9))) {
+        return ::testing::AssertionFailure()
+               << "pixel (" << px << "," << py << "): value " << v
+               << " exact " << exact << " eps " << eps;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // ---------------------------------------------------------------------------
-// Engine frame == per-pixel evaluation, bitwise
+// Engine frame == chunk oracle, bitwise
 // ---------------------------------------------------------------------------
 
 struct ParallelCase {
@@ -147,7 +154,7 @@ std::string CaseName(const ::testing::TestParamInfo<ParallelCase>& info) {
 class ParallelEquivalenceTest : public ::testing::TestWithParam<ParallelCase> {
 };
 
-TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
+TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToChunkOracle) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
@@ -155,7 +162,8 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
 
   BatchStats ref_stats;
   const std::vector<double> reference =
-      PerPixelEps(evaluator, grid, 0.05, &ref_stats);
+      ChunkOracleEps(evaluator, grid, 0.05, param.tile_rows, &ref_stats);
+  EXPECT_TRUE(WithinEps(evaluator, grid, 0.05, reference));
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -167,12 +175,14 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
 
   EXPECT_TRUE(FramesBitIdentical(reference, parallel.values));
   EXPECT_TRUE(stats.completed);
-  // Per-tile accounting merged in tile order must equal the per-pixel sums.
+  // Per-item accounting merged in item order must equal the oracle's sums.
   EXPECT_EQ(stats.queries, ref_stats.queries);
   EXPECT_EQ(stats.iterations, ref_stats.iterations);
   EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
   EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
   EXPECT_EQ(stats.numeric_faults, ref_stats.numeric_faults);
+  EXPECT_EQ(stats.tile_nodes_visited, ref_stats.tile_nodes_visited);
+  EXPECT_EQ(stats.tiles_decided, ref_stats.tiles_decided);
 
   // The same frame through a caller-given pixel order (reversed row-major)
   // is the same bytes and work, and marks every pixel evaluated.
@@ -190,10 +200,11 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToPerPixel) {
   EXPECT_EQ(ordered_stats.queries, ref_stats.queries);
   EXPECT_EQ(ordered_stats.iterations, ref_stats.iterations);
   EXPECT_EQ(ordered_stats.nodes_visited, ref_stats.nodes_visited);
+  EXPECT_EQ(ordered_stats.tile_nodes_visited, ref_stats.tile_nodes_visited);
   EXPECT_EQ(evaluated, std::vector<uint8_t>(grid.num_pixels(), 1));
 }
 
-TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToPerPixel) {
+TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToChunkOracle) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
@@ -202,7 +213,9 @@ TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToPerPixel) {
 
   BatchStats ref_stats;
   const std::vector<uint8_t> reference =
-      PerPixelTau(evaluator, grid, tau, &ref_stats);
+      ChunkOracleTau(evaluator, grid, tau, param.tile_rows, &ref_stats);
+  BatchStats per_pixel_stats;
+  EXPECT_EQ(reference, PerPixelTau(evaluator, grid, tau, &per_pixel_stats));
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -218,6 +231,8 @@ TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToPerPixel) {
   EXPECT_EQ(stats.iterations, ref_stats.iterations);
   EXPECT_EQ(stats.points_scanned, ref_stats.points_scanned);
   EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
+  EXPECT_EQ(stats.tile_nodes_visited, ref_stats.tile_nodes_visited);
+  EXPECT_EQ(stats.tiles_decided, ref_stats.tiles_decided);
 }
 
 TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToPerPixel) {
@@ -255,8 +270,8 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 // A pool with no free capacity sheds every helper; the caller renders the
-// whole frame itself and the result is still bit-identical to per-pixel
-// evaluation.
+// whole frame itself and the result is still bit-identical to the chunk
+// oracle.
 TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
@@ -264,7 +279,7 @@ TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
 
   BatchStats ref_stats;
   const std::vector<double> reference =
-      PerPixelEps(evaluator, grid, 0.05, &ref_stats);
+      ChunkOracleEps(evaluator, grid, 0.05, /*tile_rows=*/4, &ref_stats);
 
   // One parked worker plus a full one-slot queue: every TrySubmit from the
   // renderer is rejected with kResourceExhausted.
@@ -385,13 +400,13 @@ TEST(ParallelRenderTest, ConcurrentCancellationLeavesConsistentStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-traversal tile refinement
+// Chunk region passes
 // ---------------------------------------------------------------------------
 
-// --tile-shared=off is the bit-identity contract: the engine with the
-// shared pass disabled must reproduce per-pixel evaluation byte for byte,
-// for every kernel and across thread x tile configurations.
-TEST(TileSharedTest, OffPathBitIdenticalToPerPixelForEveryKernel) {
+// The chunk-oracle contract holds for every bound family (Gaussian QUAD,
+// the polynomial-exact and distance-kernel bounds) across thread x tile
+// configurations, and τ masks equal the per-pixel masks.
+TEST(ChunkContractTest, EveryKernelBitIdenticalToChunkOracle) {
   const KernelType kernels[] = {KernelType::kGaussian,
                                 KernelType::kEpanechnikov,
                                 KernelType::kExponential};
@@ -401,8 +416,6 @@ TEST(TileSharedTest, OffPathBitIdenticalToPerPixelForEveryKernel) {
     PixelGrid grid(40, 30, bench->data_bounds());
 
     BatchStats ref_stats;
-    const std::vector<double> reference =
-        PerPixelEps(evaluator, grid, 0.05, &ref_stats);
     const std::vector<uint8_t> reference_tau =
         PerPixelTau(evaluator, grid, 0.3, &ref_stats);
 
@@ -412,13 +425,13 @@ TEST(TileSharedTest, OffPathBitIdenticalToPerPixelForEveryKernel) {
       RenderOptions options;
       options.num_threads = c.num_threads;
       options.tile_rows = c.tile_rows;
-      options.tile_shared = false;
       BatchStats stats;
       DensityFrame parallel = RenderEpsFrameParallel(
           evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
-      EXPECT_TRUE(FramesBitIdentical(reference, parallel.values))
+      EXPECT_TRUE(FramesBitIdentical(
+          ChunkOracleEps(evaluator, grid, 0.05, c.tile_rows),
+          parallel.values))
           << KernelTypeName(kernel) << " t" << c.num_threads;
-      EXPECT_EQ(stats.tile_nodes_visited, 0u);
       BinaryFrame parallel_tau = RenderTauFrameParallel(
           evaluator, grid, 0.3, options, &pool, QueryControl(), &stats);
       EXPECT_EQ(reference_tau, parallel_tau.values);
@@ -426,13 +439,70 @@ TEST(TileSharedTest, OffPathBitIdenticalToPerPixelForEveryKernel) {
   }
 }
 
-// Tile-shared frames return different (but still certified) estimates: every
-// pixel must satisfy the ε certificate against the exact oracle, the τ mask
-// must match the exact classification, and at thresholds around the mean
-// density (τ = μ + kσ) it must equal the per-pixel τ mask exactly. Swept
-// over kernels, grid shapes (down to single pixels and one-row/one-column
-// strips), thread counts and chunk shapes.
-TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
+// Low density: a tight bandwidth and a viewport reaching one data span past
+// the data on every side put most pixels at F <= 1e-25, while a chunk's
+// region uppers still come from its nearest corner, up to ~1e-12 — the
+// regime where subtracting region intervals from running totals left a
+// residue far above ε·F. Every εKDV pixel is checked against EvaluateExact,
+// and τ masks against the exact classification at tiny τ.
+TEST(ChunkContractTest, LowDensityFramesKeepCertificates) {
+  Workbench::Options wopts;
+  wopts.gamma_override = 100.0;
+  StatusOr<std::unique_ptr<Workbench>> created =
+      Workbench::Create(TestDataset(), KernelType::kGaussian, wopts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Workbench> bench = *std::move(created);
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  const Rect& data = bench->data_bounds();
+  const double span0 = data.hi(0) - data.lo(0);
+  const double span1 = data.hi(1) - data.lo(1);
+  Rect viewport(2);
+  viewport.Expand(Point{data.lo(0) - span0, data.lo(1) - span1});
+  viewport.Expand(Point{data.hi(0) + span0, data.hi(1) + span1});
+  PixelGrid grid(48, 36, viewport);
+
+  std::vector<double> exact(grid.num_pixels());
+  size_t low = 0;
+  for (int py = 0; py < grid.height(); ++py) {
+    for (int px = 0; px < grid.width(); ++px) {
+      const size_t i = grid.PixelIndex(px, py);
+      exact[i] = evaluator.EvaluateExact(grid.PixelCenter(px, py));
+      if (exact[i] <= 1e-25) ++low;
+    }
+  }
+  ASSERT_GT(low, grid.num_pixels() / 4) << "the frame is not low-density";
+
+  const double eps = 0.01;
+  ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
+  for (const ParallelCase& c : {ParallelCase{1, 16}, ParallelCase{4, 8}}) {
+    RenderOptions options;
+    options.num_threads = c.num_threads;
+    options.tile_rows = c.tile_rows;
+    BatchStats stats;
+    DensityFrame frame = RenderEpsFrameParallel(
+        evaluator, grid, eps, options, &pool, QueryControl(), &stats);
+    EXPECT_GT(stats.tile_nodes_visited, 0u);
+    EXPECT_TRUE(WithinEps(evaluator, grid, eps, frame.values))
+        << " t" << c.num_threads;
+    for (double tau : {1e-30, 1e-40, 1e-50}) {
+      BinaryFrame mask = RenderTauFrameParallel(
+          evaluator, grid, tau, options, &pool, QueryControl(), &stats);
+      for (size_t i = 0; i < exact.size(); ++i) {
+        if (std::abs(exact[i] - tau) <= 1e-9 * tau) continue;  // tie
+        ASSERT_EQ(mask.values[i], exact[i] >= tau ? 1 : 0)
+            << "pixel " << i << " exact " << exact[i] << " tau " << tau;
+      }
+    }
+  }
+}
+
+// Engine frames return different (but still certified) estimates from
+// root-seeded evaluation: every pixel must satisfy the ε certificate
+// against the exact oracle, the τ mask must match the exact classification,
+// and at thresholds around the mean density (τ = μ + kσ) it must equal the
+// per-pixel τ mask exactly. Swept over kernels, grid shapes (down to single
+// pixels and one-row/one-column strips), thread counts and chunk shapes.
+TEST(ChunkContractTest, FramesSatisfyCertificatesEverywhere) {
   struct Input {
     KernelType kernel;
     int width;
@@ -477,7 +547,6 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
       RenderOptions options;
       options.num_threads = c.num_threads;
       options.tile_rows = c.tile_rows;
-      options.tile_shared = true;
       BatchStats stats;
       DensityFrame frame = RenderEpsFrameParallel(
           evaluator, grid, eps, options, &pool, QueryControl(), &stats);
@@ -514,7 +583,7 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
 
 // A τ above any possible density is answered by the region bounds alone:
 // every chunk is decided "below" and no pixel runs per-pixel refinement.
-TEST(TileSharedTest, TauAboveEveryDensityDecidesEveryChunk) {
+TEST(ChunkContractTest, TauAboveEveryDensityDecidesEveryChunk) {
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(48, 36, bench->data_bounds());
@@ -523,7 +592,6 @@ TEST(TileSharedTest, TauAboveEveryDensityDecidesEveryChunk) {
 
   RenderOptions options;
   options.tile_rows = 8;
-  options.tile_shared = true;
   BatchStats stats;
   BinaryFrame mask = RenderTauFrameParallel(evaluator, grid, tau, options,
                                             nullptr, QueryControl(), &stats);
@@ -538,7 +606,7 @@ TEST(TileSharedTest, TauAboveEveryDensityDecidesEveryChunk) {
 
 // A cache hit must substitute the stored frontiers verbatim: same frame
 // bits, zero additional region-pass work.
-TEST(TileSharedTest, FrontierCacheHitReproducesFrameBitwise) {
+TEST(ChunkContractTest, FrontierCacheHitReproducesFrameBitwise) {
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(40, 30, bench->data_bounds());
@@ -546,7 +614,6 @@ TEST(TileSharedTest, FrontierCacheHitReproducesFrameBitwise) {
   FrontierCache cache;
   RenderOptions options;
   options.num_threads = 1;
-  options.tile_shared = true;
   options.frontier_cache = &cache;
   options.cache_epoch = 7;
 

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -6,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "chunk_oracle.h"
 #include "data/datasets.h"
 #include "progressive/progressive.h"
+#include "util/clock.h"
 #include "viz/frame.h"
 #include "viz/parallel_render.h"
 #include "workbench/workbench.h"
@@ -74,23 +77,24 @@ TEST(RowMajorScheduleTest, OnePixelPerOpInOrder) {
 // ---------------------------------------------------------------------------
 
 // The serial op-by-op loop RenderProgressive ran before it moved onto the
-// frame engine, kept as the oracle for its frames: each op evaluates its
-// representative once (fresh stream, no control), then paints it over the
-// pixels of its region not yet evaluated.
+// frame engine, kept as the oracle for its frames: each op takes its
+// representative's value once, then paints it over the pixels of its region
+// not yet evaluated. The values are the chunk oracle's (tests/
+// chunk_oracle.h) at the engine's default chunk size: a pixel's value does
+// not depend on which other pixels a prefix evaluated.
 DensityFrame OpByOpProgressive(const KdeEvaluator& evaluator,
                                const PixelGrid& grid, double eps,
                                const std::vector<RegionOp>& schedule,
                                uint64_t* pixels_evaluated) {
+  const std::vector<double> values =
+      ChunkOracleEps(evaluator, grid, eps, RenderOptions().tile_rows);
   DensityFrame frame(grid.width(), grid.height());
   std::vector<uint8_t> evaluated(grid.num_pixels(), 0);
   *pixels_evaluated = 0;
   for (const RegionOp& op : schedule) {
     const size_t center = grid.PixelIndex(op.cx, op.cy);
     if (!evaluated[center]) {
-      double v = evaluator
-                     .EvaluateEps(grid.PixelCenter(op.cx, op.cy), eps,
-                                  QueryControl())
-                     .estimate;
+      const double v = values[center];
       frame.values[center] = std::isfinite(v) ? v : 0.0;
       evaluated[center] = 1;
       ++*pixels_evaluated;
@@ -122,11 +126,21 @@ TEST_F(ProgressiveRenderTest, UnboundedRunEvaluatesEveryPixel) {
   EXPECT_TRUE(result.fully_painted);
   EXPECT_EQ(result.pixels_evaluated, grid_.num_pixels());
 
-  // Completed progressive frame equals the plain εKDV frame.
-  DensityFrame direct = RenderEpsFrameParallel(quad, grid_, 0.01, {}, nullptr,
-                                               {}, nullptr);
-  for (size_t i = 0; i < direct.values.size(); ++i) {
-    EXPECT_NEAR(result.frame.values[i], direct.values[i], 1e-12);
+  // A completed progressive frame is the plain εKDV frame, bit for bit (the
+  // frame contract of viz/parallel_render.h), at any chunk size.
+  for (int tile_rows : {16, 4, 3}) {
+    RenderOptions options;
+    options.tile_rows = tile_rows;
+    ProgressiveResult full = RenderProgressive(
+        quad, grid_, 0.01, QueryControl(),
+        QuadTreeSchedule(grid_.width(), grid_.height()), options, nullptr);
+    DensityFrame direct = RenderEpsFrameParallel(quad, grid_, 0.01, options,
+                                                 nullptr, {}, nullptr);
+    ASSERT_EQ(full.frame.values.size(), direct.values.size());
+    EXPECT_EQ(std::memcmp(full.frame.values.data(), direct.values.data(),
+                          direct.values.size() * sizeof(double)),
+              0)
+        << "tile_rows " << tile_rows;
   }
 }
 
@@ -148,7 +162,64 @@ TEST_F(ProgressiveRenderTest, CompletedRunCountsWorkLikeTheFrameEngine) {
   EXPECT_EQ(result.stats.iterations, engine.iterations);
   EXPECT_EQ(result.stats.points_scanned, engine.points_scanned);
   EXPECT_EQ(result.stats.nodes_visited, engine.nodes_visited);
+  EXPECT_EQ(result.stats.tile_nodes_visited, engine.tile_nodes_visited);
+  EXPECT_EQ(result.stats.tiles_decided, engine.tiles_decided);
   EXPECT_GT(result.stats.nodes_visited, 0u);
+}
+
+// Reads "expired" once the query control's heartbeat has counted a given
+// number of stop polls: a deadline that cuts a one-thread frame at an exact
+// point of its work, whatever the host's speed.
+class PollCountClock : public Clock {
+ public:
+  PollCountClock(const std::atomic<uint64_t>* polls, uint64_t expire_at)
+      : polls_(polls), expire_at_(expire_at) {}
+  double NowSeconds() const override {
+    return polls_->load(std::memory_order_relaxed) >= expire_at_ ? 1e9 : 0.0;
+  }
+  void WaitFor(double /*seconds*/, Waker* /*waker*/) override {}
+
+ private:
+  const std::atomic<uint64_t>* polls_;
+  uint64_t expire_at_;
+};
+
+// A budgeted one-thread frame that stops right after its first chunk has
+// still evaluated the frame's center — the chunk holding the schedule's
+// first representative is claimed first — so it is fully painted, never
+// left for the coarse tier.
+TEST_F(ProgressiveRenderTest, StopAfterFirstChunkPaintsFromTheCenter) {
+  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
+  RenderOptions options;
+  options.tile_rows = 4;  // 4x4 chunks: 12 of them on the 16x12 grid
+  const std::vector<RegionOp> schedule =
+      QuadTreeSchedule(grid_.width(), grid_.height());
+
+  // The engine polls once before a chunk's region pass and once before
+  // each refined pixel; in-query polls are switched off. Poll 18 is the
+  // one after the first chunk's pass and its 16 pixels.
+  std::atomic<uint64_t> polls{0};
+  PollCountClock clock(&polls, /*expire_at=*/18);
+  Deadline deadline(1.0, &clock);
+  QueryControl control;
+  control.deadline = &deadline;
+  control.heartbeat = &polls;
+  control.check_interval = 1u << 30;
+  ProgressiveResult r = RenderProgressive(quad, grid_, 0.01, control,
+                                          schedule, options, nullptr);
+
+  EXPECT_FALSE(r.stats.completed);
+  EXPECT_TRUE(r.stats.deadline_expired);
+  EXPECT_TRUE(r.fully_painted);
+  EXPECT_GE(r.pixels_evaluated, 1u);
+  EXPECT_LE(r.pixels_evaluated, 32u);  // at most two chunks
+  const size_t center = grid_.PixelIndex(schedule[0].cx, schedule[0].cy);
+  const std::vector<double> oracle =
+      ChunkOracleEps(quad, grid_, 0.01, options.tile_rows);
+  EXPECT_EQ(std::memcmp(&r.frame.values[center], &oracle[center],
+                        sizeof(double)),
+            0);
+  for (double v : r.frame.values) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST_F(ProgressiveRenderTest, TinyBudgetProducesPartialResult) {

@@ -11,9 +11,11 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chunk_oracle.h"
 #include "data/datasets.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -43,15 +45,17 @@ class ResilientRendererTest : public ::testing::Test {
 };
 
 TEST_F(ResilientRendererTest, UnlimitedBudgetCertifies) {
+  // The certified frame is the frame engine's at the renderer's chunk
+  // geometry: the independent chunk oracle's, bit for bit and work for work.
   BatchStats engine;
-  DensityFrame want = RenderEpsFrameParallel(evaluator_, grid_, 0.01, {},
-                                             nullptr, {}, &engine);
+  const std::vector<double> want =
+      ChunkOracleEps(evaluator_, grid_, 0.01, /*tile_rows=*/2, &engine);
   ThreadPool::Options pool_opts;
   pool_opts.num_threads = 2;
   ThreadPool pool(pool_opts);
   // One thread without a pool, then three threads over a 2-worker pool (in
-  // 2-row work items, so the 16x12 frame really fans out): the certified
-  // frame and its work are the frame engine's either way.
+  // 2x2 chunks, so the 16x12 frame really fans out): the certified frame
+  // and its work are the same either way.
   for (int threads : {1, 3}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ResilientRenderer renderer(&evaluator_);
@@ -68,15 +72,16 @@ TEST_F(ResilientRendererTest, UnlimitedBudgetCertifies) {
     EXPECT_FALSE(outcome.deadline_expired);
     EXPECT_EQ(outcome.pixels_scrubbed, 0u);
     ExpectFinite(outcome.frame);
-    ASSERT_EQ(outcome.frame.values.size(), want.values.size());
-    EXPECT_EQ(std::memcmp(outcome.frame.values.data(), want.values.data(),
-                          want.values.size() * sizeof(double)),
+    ASSERT_EQ(outcome.frame.values.size(), want.size());
+    EXPECT_EQ(std::memcmp(outcome.frame.values.data(), want.data(),
+                          want.size() * sizeof(double)),
               0);
     EXPECT_EQ(outcome.stats.queries, engine.queries);
     EXPECT_EQ(outcome.stats.iterations, engine.iterations);
     EXPECT_EQ(outcome.stats.points_scanned, engine.points_scanned);
     EXPECT_EQ(outcome.stats.nodes_visited, engine.nodes_visited);
     EXPECT_EQ(outcome.stats.numeric_faults, engine.numeric_faults);
+    EXPECT_EQ(outcome.stats.tile_nodes_visited, engine.tile_nodes_visited);
   }
 }
 
@@ -256,11 +261,11 @@ TEST_F(ChaosSweepTest, DelayInTheScheduleTripsTheDeadline) {
 }
 
 TEST_F(ChaosSweepTest, AbandonedTiledAttemptKeepsItsWorkCounters) {
-  // 20ms of injected latency before every pixel of the tile-shared frame
+  // 20ms of injected latency before every chunk pass and pixel of the frame
   // against a 50ms budget: the deadline fires a few pixels in, after the
-  // first chunk's region pass, before the frame centre is reached, and the
-  // ladder degrades. The work the abandoned frame did must still be in the
-  // outcome's counters.
+  // first chunk's region pass, and the frame ships below the certified
+  // tier. The work the abandoned frame did must still be in the outcome's
+  // counters.
   ASSERT_TRUE(failpoint::Arm("progressive.op", failpoint::Action::kDelay,
                              /*delay_ms=*/20)
                   .ok());
@@ -269,7 +274,6 @@ TEST_F(ChaosSweepTest, AbandonedTiledAttemptKeepsItsWorkCounters) {
   ResilientRenderOptions options;
   options.eps = 0.01;
   options.budget_seconds = 0.05;
-  options.parallel.tile_shared = true;
   RenderOutcome outcome = renderer.Render(grid, options);
   EXPECT_TRUE(outcome.deadline_expired);
   EXPECT_NE(outcome.tier, QualityTier::kCertified);
@@ -297,7 +301,6 @@ TEST_F(ChaosSweepTest, BudgetedMultiThreadRenderStillPaintsAFrame) {
   options.budget_seconds = 0.05;
   options.parallel.num_threads = 3;
   options.parallel.tile_rows = 2;
-  options.parallel.tile_shared = false;
   options.tile_pool = &pool;
   RenderOutcome outcome = renderer.Render(grid_, options);
   EXPECT_EQ(outcome.tier, QualityTier::kProgressive);

@@ -1,6 +1,6 @@
 // Soundness suite for region bounds and the shared-traversal tile refiner.
 //
-// The certified-error story of tile-shared rendering rests on two claims:
+// The certified-error story of chunked rendering rests on two claims:
 //   1. Region soundness — EvaluateRegion(stats, rect) brackets the node's
 //      exact contribution F_n(q) for EVERY query point q inside rect, for
 //      every bound profile. (This is a property about one node; no
@@ -15,8 +15,10 @@
 // rects and query samples, across every approximate method's bound class.
 #include "core/tile_refiner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include "geom/rect.h"
 #include "index/kdtree.h"
 #include "util/random.h"
+#include "viz/pixel_grid.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -209,6 +212,104 @@ TEST(TileRefinerTest, SeededEvaluationMeetsCertificates) {
       }
     }
   }
+}
+
+// Low density: region uppers from a chunk's near corner can sit ~15 orders
+// of magnitude above the densities at its far side, so totals that had such
+// intervals subtracted keep a residue far above the tile's densities. The
+// region totals a decision is taken on, L* and the stream's suffix sums must
+// be fresh sums of the surviving entries: every undecided frontier's totals
+// equal base + its own node sums, its budget holds against that L*, and
+// every decided chunk is right at every one of its pixels.
+TEST(TileRefinerTest, RegionTotalsAreFreshSumsAtLowDensity) {
+  auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
+  };
+  const double eps = 0.01;
+  int decided = 0, undecided = 0;
+  // (gamma, chunk edge): tight bandwidths over a viewport reaching one data
+  // span past the data on every side.
+  for (const auto& [gamma, chunk] :
+       {std::pair<double, int>{100.0, 8}, {300.0, 4}}) {
+    Workbench::Options wopts;
+    wopts.gamma_override = gamma;
+    StatusOr<std::unique_ptr<Workbench>> created =
+        Workbench::Create(TestDataset(), KernelType::kGaussian, wopts);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<Workbench> bench = *std::move(created);
+    KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+    TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                        evaluator.bounds());
+    const Rect& data = bench->data_bounds();
+    const double span0 = data.hi(0) - data.lo(0);
+    const double span1 = data.hi(1) - data.lo(1);
+    Rect viewport(2);
+    viewport.Expand(Point{data.lo(0) - span0, data.lo(1) - span1});
+    viewport.Expand(Point{data.hi(0) + span0, data.hi(1) + span1});
+    const PixelGrid grid(48, 36, viewport);
+    const double alpha = refiner.options().accept_fraction;
+    for (int y0 = 0; y0 < grid.height(); y0 += chunk) {
+      for (int x0 = 0; x0 < grid.width(); x0 += chunk) {
+        const int y1 = std::min(y0 + chunk, grid.height());
+        const int x1 = std::min(x0 + chunk, grid.width());
+        Rect rect(2);
+        rect.Expand(grid.PixelCenter(x0, y1 - 1));
+        rect.Expand(grid.PixelCenter(x1 - 1, y0));
+        for (double param : {eps, 1e-30, 1e-40, 1e-50}) {
+          const bool eps_mode = param == eps;
+          SCOPED_TRACE("gamma " + std::to_string(gamma) + " chunk (" +
+                       std::to_string(x0) + "," + std::to_string(y0) +
+                       ") param " + std::to_string(param));
+          const TileFrontier tf = eps_mode ? refiner.BuildEps(rect, param)
+                                           : refiner.BuildTau(rect, param);
+          if (!tf.valid) continue;
+          ASSERT_EQ(tf.suffix.size(), tf.nodes.size() + 1);
+          if (tf.decided) {
+            ++decided;
+            if (eps_mode) {
+              ASSERT_EQ(tf.decided_value,
+                        0.5 * (tf.region_lower + tf.region_upper));
+            }
+            for (int y = y0; y < y1; ++y) {
+              for (int x = x0; x < x1; ++x) {
+                const double exact =
+                    evaluator.EvaluateExact(grid.PixelCenter(x, y));
+                if (eps_mode) {
+                  ASSERT_LE(std::abs(tf.decided_value - exact),
+                            eps * exact * (1.0 + 1e-9))
+                      << "pixel (" << x << "," << y << ")";
+                } else if (std::abs(exact - param) > 1e-9 * param) {
+                  ASSERT_EQ(tf.decided_above, exact >= param)
+                      << "pixel (" << x << "," << y << ") exact " << exact;
+                }
+              }
+            }
+            continue;
+          }
+          ++undecided;
+          ASSERT_EQ(tf.suffix.back().lower, 0.0);
+          ASSERT_EQ(tf.suffix.back().upper, 0.0);
+          double lower = 0.0, upper = 0.0;
+          for (size_t k = tf.nodes.size(); k-- > 0;) {
+            lower += tf.nodes[k].lower;
+            upper += tf.nodes[k].upper;
+            ASSERT_TRUE(near(tf.suffix[k].lower, lower)) << "suffix " << k;
+            ASSERT_TRUE(near(tf.suffix[k].upper, upper)) << "suffix " << k;
+          }
+          ASSERT_TRUE(near(tf.region_lower, tf.base_lower + lower))
+              << tf.region_lower << " vs " << tf.base_lower + lower;
+          ASSERT_TRUE(near(tf.region_upper, tf.base_upper + upper))
+              << tf.region_upper << " vs " << tf.base_upper + upper;
+          if (eps_mode) {
+            ASSERT_LE(tf.base_upper - tf.base_lower,
+                      alpha * eps * tf.region_lower * (1.0 + 1e-12));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided, 0);
+  EXPECT_GT(undecided, 0);
 }
 
 // An invalid frontier must never be produced silently decided, and the

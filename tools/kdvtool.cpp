@@ -81,15 +81,11 @@ int Usage() {
       "                (degrade: ship best-effort frame, exit 0; fail: exit\n"
       "                3 when the budget expires before certification)\n"
       "                [--threads N (0 = hardware concurrency) --tile-rows R\n"
-      "                 --tile-shared on|off (amortize tree traversal across\n"
-      "                 tile pixels; off is bit-identical to per-pixel)\n"
       "                 --json (machine-readable stats incl. pruning\n"
       "                 counters and the active SIMD level; KDV_SIMD=\n"
       "                 scalar|sse2|avx2 pins the leaf-kernel dispatch)]\n"
       "  hotspot:      --tau T | --tau-sigma K (tau = mu + K*sigma)\n"
-      "                [--threads N --tile-rows R --tile-shared on|off\n"
-      "                 (same τ mask on or off; on decides whole tile\n"
-      "                 chunks from region bounds)]\n"
+      "                [--threads N --tile-rows R]\n"
       "  progressive:  --eps E --budget SECONDS\n"
       "  classify:     --in FILE.csv --label-col I (x,y + integer labels)\n"
       "  regress:      --in FILE.csv --target-col I (x,y + target >= 0)\n"
@@ -97,7 +93,7 @@ int Usage() {
       "                --budget-ms MS\n"
       "                [--clients C (default 4x threads) --queue Q\n"
       "                 --frame-threads N (intra-frame tile workers)\n"
-      "                 --tile-rows R --tile-shared on|off\n"
+      "                 --tile-rows R\n"
       "                 --eps E --on-deadline degrade|fail\n"
       "                 --failpoints \"site=action;...\" --json\n"
       "                 --swap-after N (hot-swap the evaluator after N\n"
@@ -227,24 +223,6 @@ bool ParseFrameThreads(const Flags& flags, const char* cmd, int* threads,
     return false;
   }
   return true;
-}
-
-// Parses --tile-shared=on|off (default off): shared-traversal tile
-// refinement for the frame renderers. Returns false (after printing a usage
-// error) on any other value.
-bool ParseTileShared(const Flags& flags, const char* cmd, bool* tile_shared) {
-  const std::string v = flags.GetString("tile-shared", "off");
-  if (v == "on") {
-    *tile_shared = true;
-    return true;
-  }
-  if (v == "off") {
-    *tile_shared = false;
-    return true;
-  }
-  std::fprintf(stderr, "kdvtool %s: --tile-shared must be 'on' or 'off'\n",
-               cmd);
-  return false;
 }
 
 // Helper pool for an intra-frame parallel render: resolved - 1 workers (the
@@ -480,7 +458,7 @@ int CmdInfo(const Flags& flags) {
 // Budgeted render path: QUAD under --budget-ms with the degradation ladder
 // (or fail-fast with exit code 3 under --on-deadline=fail).
 int CmdRenderBudgeted(const Flags& flags, Session* s, double eps, int threads,
-                      int tile_rows, bool tile_shared) {
+                      int tile_rows) {
   std::string on_deadline = flags.GetString("on-deadline", "degrade");
   if (on_deadline != "degrade" && on_deadline != "fail") {
     std::fprintf(stderr,
@@ -501,7 +479,6 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps, int threads,
   options.degrade = on_deadline == "degrade";
   options.parallel.num_threads = threads;
   options.parallel.tile_rows = tile_rows;
-  options.parallel.tile_shared = tile_shared;
   std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
   options.tile_pool = pool.get();
   ResilientRenderer renderer(&evaluator);
@@ -538,10 +515,8 @@ int CmdRender(const Flags& flags) {
   int threads = 1;
   int tile_rows = 16;
   if (!ParseFrameThreads(flags, "render", &threads, &tile_rows)) return 2;
-  bool tile_shared = false;
-  if (!ParseTileShared(flags, "render", &tile_shared)) return 2;
   if (flags.Has("budget-ms")) {
-    return CmdRenderBudgeted(flags, &s, eps, threads, tile_rows, tile_shared);
+    return CmdRenderBudgeted(flags, &s, eps, threads, tile_rows);
   }
 
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
@@ -551,7 +526,6 @@ int CmdRender(const Flags& flags) {
   RenderOptions ropts;
   ropts.num_threads = threads;
   ropts.tile_rows = tile_rows;
-  ropts.tile_shared = tile_shared;
   DensityFrame frame = RenderEpsFrameParallel(
       evaluator, grid, eps, ropts, pool.get(), QueryControl(), &stats);
   if (!stats.status.ok()) {
@@ -575,7 +549,6 @@ int CmdRender(const Flags& flags) {
         .Key("width").Value(s.width)
         .Key("height").Value(s.height)
         .Key("threads").Value(ResolveRenderThreads(threads))
-        .Key("tile_shared").Value(tile_shared)
         .Key("simd").Value(SimdLevelName(ActiveSimdLevel()))
         .Key("seconds").Number(stats.seconds, 6)
         .Key("pixels_per_sec").Number(px_per_sec, 8);
@@ -597,10 +570,9 @@ int CmdRender(const Flags& flags) {
         .EndObject();
     std::printf("%s\n", w.Take().c_str());
   } else {
-    std::printf("εKDV (%s, eps=%g, threads=%d%s): %dx%d in %.3fs -> %s\n",
+    std::printf("εKDV (%s, eps=%g, threads=%d): %dx%d in %.3fs -> %s\n",
                 MethodName(s.method), eps, ResolveRenderThreads(threads),
-                tile_shared ? ", tile-shared" : "", s.width, s.height,
-                stats.seconds, out.c_str());
+                s.width, s.height, stats.seconds, out.c_str());
   }
   return MaybeWriteMetricsOut(flags);
 }
@@ -629,14 +601,11 @@ int CmdHotspot(const Flags& flags) {
   int threads = 1;
   int tile_rows = 16;
   if (!ParseFrameThreads(flags, "hotspot", &threads, &tile_rows)) return 2;
-  bool tile_shared = false;
-  if (!ParseTileShared(flags, "hotspot", &tile_shared)) return 2;
   BatchStats stats;
   std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
   RenderOptions ropts;
   ropts.num_threads = threads;
   ropts.tile_rows = tile_rows;
-  ropts.tile_shared = tile_shared;
   BinaryFrame mask = RenderTauFrameParallel(
       evaluator, grid, tau, ropts, pool.get(), QueryControl(), &stats);
   if (!stats.status.ok()) {
@@ -977,8 +946,6 @@ int CmdServeSim(const Flags& flags) {
                  "kdvtool serve-sim: --tile-rows must be an integer >= 1\n");
     return 2;
   }
-  bool tile_shared = false;
-  if (!ParseTileShared(flags, "serve-sim", &tile_shared)) return 2;
   const int clients = flags.GetInt("clients", threads * 4);
   const long requests = flags.GetInt("requests", 100);
   if (clients < 1 || requests < 1) {
@@ -1086,7 +1053,6 @@ int CmdServeSim(const Flags& flags) {
   options.max_attempts = flags.GetInt("max-attempts", 3);
   options.intra_frame_threads = frame_threads;
   options.tile_rows = tile_rows;
-  options.tile_shared = tile_shared;
   if (use_governor) {
     options.governor.enabled = true;
     options.governor.queue_wait_saturation_seconds = queue_wait_sat_ms / 1e3;
@@ -1293,10 +1259,7 @@ int CmdServeSim(const Flags& flags) {
       w.Key("current").Null();
     }
     w.EndObject();
-    w.Key("tile_shared").BeginObject()
-        .Key("enabled").Value(tile_shared)
-        .Key("frontier_cache_hits").Value(stats.frontier_cache_hits)
-        .EndObject();
+    w.Key("frontier_cache_hits").Value(stats.frontier_cache_hits);
     w.Key("simd").Value(SimdLevelName(ActiveSimdLevel()));
     w.Key("health").BeginObject()
         .Key("at_start").Value(health_at_start)
@@ -1386,10 +1349,8 @@ int CmdServeSim(const Flags& flags) {
                 health_final.c_str(),
                 static_cast<unsigned long long>(stats.epoch),
                 static_cast<unsigned long long>(stats.swaps));
-    if (tile_shared) {
-      std::printf("  tile-shared: on, %llu frontier cache hit(s)\n",
-                  static_cast<unsigned long long>(stats.frontier_cache_hits));
-    }
+    std::printf("  frontier cache: %llu hit(s)\n",
+                static_cast<unsigned long long>(stats.frontier_cache_hits));
     std::printf("  simd: %s\n", SimdLevelName(ActiveSimdLevel()));
     if (use_governor) {
       std::printf("  governor: level %s (max %s), pressure %.3f, "

@@ -45,7 +45,7 @@ void SumQuarticRange(double n, double s1_min, double s1_max, double dmin2,
 BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
                                      const Rect& query_rect) const {
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
-  return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
+  return TrivialBounds(params_, stats.mass(), xi);
 }
 
 // ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
 BoundPair MinMaxDistBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
   XInterval xi = ProfileInterval(params_, stats, q);
-  return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
+  return TrivialBounds(params_, stats.mass(), xi);
 }
 
 // ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ KarlLinearBounds::KarlLinearBounds(const KernelParams& params,
 
 BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = ProfileInterval(params_, stats, q);
   // e^-x at both ends of the interval, each evaluated once: shared by the
@@ -98,7 +98,7 @@ BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
 
 BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
                                            const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
   const double e_min = ClampedExpNeg(xi.x_min);
@@ -138,7 +138,7 @@ QuadGaussianBounds::QuadGaussianBounds(const KernelParams& params,
 
 BoundPair QuadGaussianBounds::Evaluate(const NodeStats& stats,
                                        const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = ProfileInterval(params_, stats, q);
   // The three exponentials this bound needs, each evaluated once: e^-x at
@@ -175,7 +175,7 @@ BoundPair QuadGaussianBounds::Evaluate(const NodeStats& stats,
 
 BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
                                              const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
   // As in Evaluate: e^-x at the interval ends and at the tangent point, each
@@ -251,7 +251,7 @@ BoundPair QuadDistanceKernelBounds::Evaluate(const NodeStats& stats,
 
 BoundPair QuadDistanceKernelBounds::EvaluateRegion(
     const NodeStats& stats, const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
 
@@ -316,7 +316,7 @@ BoundPair QuadDistanceKernelBounds::EvaluateRegion(
 
 BoundPair QuadDistanceKernelBounds::EvaluateTriangular(
     const NodeStats& stats, const XInterval& xi, double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
 
   // Entire node beyond the kernel support: contribution is exactly 0.
@@ -341,7 +341,7 @@ BoundPair QuadDistanceKernelBounds::EvaluateTriangular(
 BoundPair QuadDistanceKernelBounds::EvaluateCosine(const NodeStats& stats,
                                                    const XInterval& xi,
                                                    double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   const double half_pi = kPi / 2.0;
 
@@ -375,7 +375,7 @@ BoundPair QuadDistanceKernelBounds::EvaluateCosine(const NodeStats& stats,
 
 BoundPair QuadDistanceKernelBounds::EvaluateExponential(
     const NodeStats& stats, const XInterval& xi, double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
 
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
@@ -415,7 +415,7 @@ PolynomialExactBounds::PolynomialExactBounds(const KernelParams& params,
 
 BoundPair PolynomialExactBounds::Evaluate(const NodeStats& stats,
                                           const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = ProfileInterval(params_, stats, q);
 
@@ -462,7 +462,7 @@ BoundPair PolynomialExactBounds::Evaluate(const NodeStats& stats,
 
 BoundPair PolynomialExactBounds::EvaluateRegion(const NodeStats& stats,
                                                 const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.mass();
   const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats, query_rect);
 

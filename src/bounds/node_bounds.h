@@ -18,7 +18,7 @@
 namespace kdv {
 
 // Aggregated lower/upper bounds on F_R(q) = sum_{p in R} w*K(q,p) for one
-// index node R.
+// index node R; a weighted NodeStats record counts each p with its weight.
 struct BoundPair {
   double lower = 0.0;
   double upper = 0.0;
@@ -52,15 +52,16 @@ inline XInterval RegionProfileInterval(const KernelParams& params,
   return xi;
 }
 
-// The classic min/max-distance bounds n*w*K(x_max) <= F_R(q) <= n*w*K(x_min)
-// (valid for every monotone-decreasing kernel profile). These are both the
-// aKDE/tKDC baselines and the safety clamp applied on top of the tighter
-// analytic bounds.
-inline BoundPair TrivialBounds(const KernelParams& params, double count,
+// The classic min/max-distance bounds W*w*K(x_max) <= F_R(q) <= W*w*K(x_min)
+// with W the node's mass (NodeStats::mass(): n, or the sum of the point
+// weights), valid for every monotone-decreasing kernel profile. These are
+// both the aKDE/tKDC baselines and the safety clamp applied on top of the
+// tighter analytic bounds.
+inline BoundPair TrivialBounds(const KernelParams& params, double mass,
                                const XInterval& xi) {
   BoundPair b;
-  b.lower = count * params.weight * KernelProfile(params.type, xi.x_max);
-  b.upper = count * params.weight * KernelProfile(params.type, xi.x_min);
+  b.lower = mass * params.weight * KernelProfile(params.type, xi.x_max);
+  b.upper = mass * params.weight * KernelProfile(params.type, xi.x_min);
   return b;
 }
 
@@ -104,10 +105,10 @@ class NodeBounds {
 
  protected:
   // Applies the safety clamp (if enabled) and the lower >= 0 floor.
-  BoundPair Finalize(BoundPair analytic, double count,
+  BoundPair Finalize(BoundPair analytic, double mass,
                      const XInterval& xi) const {
     return Finalize(analytic, options_.clamp_with_trivial
-                                  ? TrivialBounds(params_, count, xi)
+                                  ? TrivialBounds(params_, mass, xi)
                                   : BoundPair{});
   }
 

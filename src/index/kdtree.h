@@ -20,7 +20,7 @@ namespace kdv {
 
 // Immutable balanced kd-tree. Nodes are stored in a flat array of compact
 // records (Node: the node's NodeStats record plus its point range and child
-// ids, 136 bytes, with nothing on the heap at d <= 2; see node_stats.h for
+// ids, 144 bytes, with nothing on the heap at d <= 2; see node_stats.h for
 // the record layout); points are reordered into a contiguous array so each
 // node owns the slice [begin, end). Median splits on the widest MBR
 // dimension give O(log n) depth.
@@ -117,7 +117,7 @@ class KdTree {
 };
 
 // One node record is what every bound evaluation touches; keep it within
-// three cache lines (it is 136 bytes: 120 of NodeStats, 16 of ids).
+// three cache lines (it is 144 bytes: 128 of NodeStats, 16 of ids).
 static_assert(sizeof(KdTree::Node) <= 160,
               "KdTree::Node outgrew its compact record");
 

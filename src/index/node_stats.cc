@@ -31,12 +31,14 @@ void NodeStats::Release() {
   if (spilled()) delete[] heap_;
   count_ = 0;
   dim_ = 0;
+  mass_ = 0.0;
   std::fill_n(inline_, kInlineSlots, 0.0);
 }
 
 void NodeStats::TakeFrom(NodeStats* other) {
   count_ = other->count_;
   dim_ = other->dim_;
+  mass_ = other->mass_;
   if (other->spilled()) {
     heap_ = other->heap_;
   } else {
@@ -45,6 +47,7 @@ void NodeStats::TakeFrom(NodeStats* other) {
   // The source no longer owns (or points at) the record.
   other->count_ = 0;
   other->dim_ = 0;
+  other->mass_ = 0.0;
   std::fill_n(other->inline_, kInlineSlots, 0.0);
 }
 
@@ -57,9 +60,11 @@ void NodeStats::CopyFrom(const NodeStats& other) {
   }
   count_ = other.count_;
   dim_ = other.dim_;
+  mass_ = other.mass_;
 }
 
-NodeStats NodeStats::Compute(const Point* points, size_t count) {
+NodeStats NodeStats::Compute(const Point* points, size_t count,
+                             const double* weights) {
   KDV_CHECK(count > 0);
   KDV_CHECK(count <= std::numeric_limits<uint32_t>::max());
   const int d = points[0].dim();
@@ -82,18 +87,23 @@ NodeStats NodeStats::Compute(const Point* points, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     const Point& p = points[i];
     KDV_DCHECK(p.dim() == d);
+    // Unit weights leave every product below bit-identical to the
+    // unweighted moment: w * x == x exactly when w == 1.0.
+    const double w = weights != nullptr ? weights[i] : 1.0;
+    KDV_DCHECK(w >= 0.0);
     for (int a = 0; a < d; ++a) {
       lo[a] = std::min(lo[a], p[a]);
       hi[a] = std::max(hi[a], p[a]);
     }
     double sq = p.SquaredNorm();
-    rec[kSumSqNorm] += sq;
-    rec[kSumQuartic] += sq * sq;
+    s.mass_ += w;
+    rec[kSumSqNorm] += w * sq;
+    rec[kSumQuartic] += w * sq * sq;
     for (int a = 0; a < d; ++a) {
-      sum[a] += p[a];
-      sum_sq_norm_p[a] += sq * p[a];
+      sum[a] += w * p[a];
+      sum_sq_norm_p[a] += w * sq * p[a];
       for (int b = 0; b < d; ++b) {
-        outer[static_cast<size_t>(a) * d + b] += p[a] * p[b];
+        outer[static_cast<size_t>(a) * d + b] += w * p[a] * p[b];
       }
     }
   }
@@ -115,7 +125,7 @@ void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
                                          double* s1_min,
                                          double* s1_max) const {
   KDV_DCHECK(query_rect.dim() == dim_);
-  const double n = static_cast<double>(count_);
+  const double n = mass_;
   const double* a_p = sum();
   double lo_total = sum_sq_norm();
   double hi_total = lo_total;
@@ -123,7 +133,7 @@ void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
     const double a = a_p[d];
     const double lo = query_rect.lo(d);
     const double hi = query_rect.hi(d);
-    // f(t) = n*t^2 - 2*a*t, convex with vertex at a/n.
+    // f(t) = W*t^2 - 2*a*t, convex with vertex at a/W.
     const double vertex = std::clamp(a / n, lo, hi);
     lo_total += n * vertex * vertex - 2.0 * a * vertex;
     const double f_lo = n * lo * lo - 2.0 * a * lo;

@@ -1,26 +1,35 @@
 // Per-node aggregate statistics enabling O(d)/O(d^2) bound evaluation.
 //
-// Lemma 1 (KARL) needs  S1(q) = sum_i dist(q, p_i)^2  in O(d):
-//   S1(q) = n*||q||^2 - 2 q.a_P + b_P
-// with a_P = sum p_i, b_P = sum ||p_i||^2.
+// Lemma 1 (KARL) needs  S1(q) = sum_i w_i dist(q, p_i)^2  in O(d):
+//   S1(q) = W*||q||^2 - 2 q.a_P + b_P
+// with W = sum w_i (the node's mass), a_P = sum w_i p_i,
+// b_P = sum w_i ||p_i||^2.
 //
-// Lemma 3 (QUAD) additionally needs  S2(q) = sum_i dist(q, p_i)^4  in O(d^2):
-//   S2(q) = n*||q||^4 - 4*||q||^2 (q.a_P) - 4 q.v_P + 2*||q||^2 b_P + h_P
+// Lemma 3 (QUAD) additionally needs  S2(q) = sum_i w_i dist(q, p_i)^4  in
+// O(d^2):
+//   S2(q) = W*||q||^4 - 4*||q||^2 (q.a_P) - 4 q.v_P + 2*||q||^2 b_P + h_P
 //           + 4 q^T C q
-// with v_P = sum ||p_i||^2 p_i, h_P = sum ||p_i||^4, C = sum p_i p_i^T.
+// with v_P = sum w_i ||p_i||^2 p_i, h_P = sum w_i ||p_i||^4,
+// C = sum w_i p_i p_i^T.
 //
-// All aggregates are accumulated once at index-build time.
+// The weights w_i >= 0 default to 1, so W = n and every moment is the plain
+// one of the paper (multiplying by 1.0 is exact). Weighted records are what
+// the Nadaraya–Watson numerator sum_i y_i K(q, p_i) needs (regress/): every
+// bound in bounds/node_bounds.h reads the mass W where the paper has n, so
+// the same bound family serves both. All aggregates are accumulated once at
+// index-build time.
 //
 // Record layout. Every bound evaluation reads one node's aggregates, so they
 // are stored as one contiguous run of 2 + 4d + d^2 doubles:
 //
 //   [ b_P | h_P | mbr lo (d) | mbr hi (d) | a_P (d) | v_P (d) | C (d x d) ]
 //
-// preceded by a 32-bit count and dimensionality. For d <= kInlineDim (= 2,
-// the KDV case: 14 doubles) the run lives inline in the object, so a
-// NodeStats is 120 bytes with no heap allocation; for larger d the same
-// layout spills to one heap buffer owned by the object. There is one code
-// path for every d: accessors and distance helpers read through data().
+// preceded by a 32-bit count and dimensionality and the mass W. For
+// d <= kInlineDim (= 2, the KDV case: 14 doubles) the run lives inline in
+// the object, so a NodeStats is 128 bytes with no heap allocation; for
+// larger d the same layout spills to one heap buffer owned by the object.
+// There is one code path for every d: accessors and distance helpers read
+// through data(). The MBR spans every point, whatever its weight.
 #ifndef QUADKDV_INDEX_NODE_STATS_H_
 #define QUADKDV_INDEX_NODE_STATS_H_
 
@@ -57,11 +66,15 @@ class NodeStats {
     if (spilled()) delete[] heap_;
   }
 
-  // Accumulates the aggregates of points[0, count). dim taken from the
-  // first point; the range must be non-empty.
-  static NodeStats Compute(const Point* points, size_t count);
+  // Accumulates the aggregates of points[0, count), point i weighted by
+  // weights[i] >= 0 (by 1 when `weights` is null). dim taken from the first
+  // point; the range must be non-empty.
+  static NodeStats Compute(const Point* points, size_t count,
+                           const double* weights = nullptr);
 
   size_t count() const { return count_; }
+  // W: the number of points, or the sum of their weights.
+  double mass() const { return mass_; }
   int dim() const { return dim_; }
   // The MBR, assembled on demand. Bound evaluation uses the distance
   // helpers below instead, which read the record in place.
@@ -86,16 +99,16 @@ class NodeStats {
   double MinSquaredDistance(const Rect& query_rect) const;
   double MaxSquaredDistance(const Rect& query_rect) const;
 
-  // S1(q) = sum dist(q, p_i)^2 in O(d).
+  // S1(q) = sum w_i dist(q, p_i)^2 in O(d).
   double SumSquaredDistances(const Point& q) const;
 
-  // S2(q) = sum dist(q, p_i)^4 in O(d^2).
+  // S2(q) = sum w_i dist(q, p_i)^4 in O(d^2).
   double SumQuarticDistances(const Point& q) const;
 
   // Exact range of S1(q) over all q in `query_rect`, in O(d).
   //
-  // S1(q) = sum_d (n*q_d^2 - 2*q_d*a_P[d]) + b_P is separable: per dimension
-  // a convex parabola in q_d with vertex at a_P[d]/n, so the minimum over
+  // S1(q) = sum_d (W*q_d^2 - 2*q_d*a_P[d]) + b_P is separable: per dimension
+  // a convex parabola in q_d with vertex at a_P[d]/W, so the minimum over
   // [lo_d, hi_d] is attained at the clamped vertex and the maximum at one of
   // the two endpoints. Used by the region bound profiles (tile refinement).
   void SumSquaredDistancesRange(const Rect& query_rect, double* s1_min,
@@ -121,6 +134,7 @@ class NodeStats {
 
   uint32_t count_ = 0;
   int32_t dim_ = 0;
+  double mass_ = 0.0;
   union {
     double inline_[kInlineSlots] = {};  // active while dim_ <= kInlineDim
     double* heap_;                      // active while dim_ > kInlineDim
@@ -195,8 +209,7 @@ inline double NodeStats::SumSquaredDistances(const Point& q) const {
   const double* a_p = sum();
   double q_dot_a = 0.0;
   for (int i = 0; i < dim_; ++i) q_dot_a += q[i] * a_p[i];
-  double s1 = static_cast<double>(count_) * q.SquaredNorm() - 2.0 * q_dot_a +
-              sum_sq_norm();
+  double s1 = mass_ * q.SquaredNorm() - 2.0 * q_dot_a + sum_sq_norm();
   // Guard against negative values from floating-point cancellation; the true
   // quantity is a sum of squares.
   return std::max(s1, 0.0);
@@ -223,7 +236,7 @@ inline double NodeStats::SumQuarticDistances(const Point& q) const {
     qcq += q[a] * row;
   }
 
-  double s2 = static_cast<double>(count_) * q_sq * q_sq -
+  double s2 = mass_ * q_sq * q_sq -
               4.0 * q_sq * q_dot_a - 4.0 * q_dot_v + 2.0 * q_sq * sum_sq_norm() +
               sum_quartic_norm() + 4.0 * qcq;
   return std::max(s2, 0.0);

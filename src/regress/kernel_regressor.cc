@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <utility>
 
-#include "regress/weighted_bounds.h"
 #include "util/check.h"
 
 namespace kdv {
@@ -26,6 +24,49 @@ struct PriorityLess {
   }
 };
 
+// Bounds on N and D: a sum of node intervals and exact leaf sums.
+struct Totals {
+  double lb_n = 0.0;
+  double ub_n = 0.0;
+  double lb_d = 0.0;
+  double ub_d = 0.0;
+
+  void Add(const QueueEntry& e) {
+    lb_n += e.numer.lower;
+    ub_n += e.numer.upper;
+    lb_d += e.denom.lower;
+    ub_d += e.denom.upper;
+  }
+  void Subtract(const QueueEntry& e) {
+    lb_n -= e.numer.lower;
+    ub_n -= e.numer.upper;
+    lb_d -= e.denom.lower;
+    ub_d -= e.denom.upper;
+  }
+};
+
+// The intervals of the queued nodes, summed afresh.
+Totals SumQueued(const std::vector<QueueEntry>& heap) {
+  Totals t;
+  for (const QueueEntry& e : heap) t.Add(e);
+  return t;
+}
+
+// Exact leaf sums of N and D plus the queued nodes' intervals.
+Totals Compose(double exact_n, double exact_d, const Totals& queued) {
+  return Totals{exact_n + queued.lb_n, exact_n + queued.ub_n,
+                exact_d + queued.lb_d, exact_d + queued.ub_d};
+}
+
+// The ratio interval [lbN/ubD, ubN/lbD] the totals certify.
+std::pair<double, double> RatioBounds(const Totals& t) {
+  double lo = t.ub_d > 0.0 ? t.lb_n / t.ub_d : 0.0;
+  double hi = t.lb_d > 0.0 ? t.ub_n / t.lb_d
+                           : (t.ub_n > 0.0 ? std::numeric_limits<double>::max()
+                                           : 0.0);
+  return {lo, std::max(hi, lo)};
+}
+
 }  // namespace
 
 KernelRegressor::KernelRegressor(PointSet xs, std::vector<double> ys,
@@ -41,20 +82,28 @@ KernelRegressor::KernelRegressor(PointSet xs, std::vector<double> ys,
   KdTree::Options tree_options;
   tree_options.leaf_size = options_.leaf_size;
   tree_ = std::make_unique<KdTree>(std::move(xs), tree_options);
-  weights_ = std::make_unique<WeightedAugmentation>(*tree_, ys);
-  denom_bounds_ = MakeNodeBounds(
-      options_.method == Method::kExact ? Method::kExact : options_.method,
-      params_, options_.bounds);
+  y_.resize(ys.size());
+  for (size_t i = 0; i < y_.size(); ++i) {
+    y_[i] = ys[tree_->original_index(i)];
+    KDV_CHECK_MSG(y_[i] >= 0.0, "regression targets must be non-negative");
+  }
+  const Point* points = tree_->points().data();
+  numer_stats_.reserve(tree_->num_nodes());
+  for (size_t id = 0; id < tree_->num_nodes(); ++id) {
+    const KdTree::Node& node = tree_->node(static_cast<int32_t>(id));
+    numer_stats_.push_back(NodeStats::Compute(
+        points + node.begin, node.count(), y_.data() + node.begin));
+  }
+  bounds_ = MakeNodeBounds(options_.method, params_, options_.bounds);
 }
 
 double KernelRegressor::EstimateExact(const Point& q, bool* defined) const {
   const PointSet& pts = tree_->points();
-  const std::vector<double>& y = weights_->y_tree_order();
   double numer = 0.0;
   double denom = 0.0;
   for (size_t i = 0; i < pts.size(); ++i) {
     double k = params_.EvalSquaredDistance(SquaredDistance(q, pts[i]));
-    numer += y[i] * k;
+    numer += y_[i] * k;
     denom += k;
   }
   if (defined != nullptr) *defined = denom > 0.0;
@@ -66,7 +115,7 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
   KDV_CHECK(eps >= 0.0);
   Result result;
 
-  if (options_.method == Method::kExact || denom_bounds_ == nullptr) {
+  if (bounds_ == nullptr) {
     bool defined = true;
     result.estimate = EstimateExact(q, &defined);
     result.lower = result.upper = result.estimate;
@@ -76,86 +125,81 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
     return result;
   }
 
-  const std::vector<double>& y = weights_->y_tree_order();
-  const PointSet& pts = tree_->points();
-
   auto node_bounds = [&](int32_t id) {
     QueueEntry e;
     e.node = id;
-    const KdTree::Node& node = tree_->node(id);
-    e.numer = EvaluateWeightedBounds(options_.method, params_, node.stats,
-                                     weights_->node(id), q, options_.bounds);
-    e.denom = denom_bounds_->Evaluate(node.stats, q);
+    const NodeStats& stats = tree_->node(id).stats;
+    const NodeStats& numer_stats = numer_stats_[id];
+    // A node whose targets are all zero adds exactly nothing to N (and its
+    // bounds would divide by its zero mass).
+    if (numer_stats.mass() > 0.0) e.numer = bounds_->Evaluate(numer_stats, q);
+    e.denom = bounds_->Evaluate(stats, q);
     // Numerator and denominator gaps are commensurable after scaling the
     // denominator gap by the node's mean target value.
-    double mean_y = weights_->node(id).weight_sum() /
-                    static_cast<double>(node.stats.count());
+    double mean_y = numer_stats.mass() / stats.mass();
     e.priority = (e.numer.upper - e.numer.lower) +
                  mean_y * (e.denom.upper - e.denom.lower);
     return e;
   };
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, PriorityLess>
-      queue;
-  QueueEntry root = node_bounds(tree_->root());
-  double lb_n = root.numer.lower, ub_n = root.numer.upper;
-  double lb_d = root.denom.lower, ub_d = root.denom.upper;
-  queue.push(root);
-
-  auto ratio_bounds = [&]() {
-    double lo = ub_d > 0.0 ? lb_n / ub_d : 0.0;
-    double hi = lb_d > 0.0 ? ub_n / lb_d
-                           : (ub_n > 0.0 ? std::numeric_limits<double>::max()
-                                         : 0.0);
-    return std::make_pair(lo, std::max(hi, lo));
+  // Leaf sums are exact and kept apart from the queued nodes' intervals.
+  // The running totals of the queue gain and lose every node's interval, so
+  // far from the data (a node's upper bound can be many orders of magnitude
+  // above N or D) their rounding residue can exceed the interval itself.
+  // They only propose a stop; the stop is confirmed, and the final interval
+  // computed, on fresh sums of the queue.
+  double exact_n = 0.0, exact_d = 0.0;
+  Totals queued;
+  std::vector<QueueEntry> heap;
+  auto push = [&](const QueueEntry& e) {
+    queued.Add(e);
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), PriorityLess());
+  };
+  // No kernel mass anywhere, or the ratio is certified.
+  auto stops = [&](const Totals& t) {
+    if (t.ub_d <= 0.0) return true;
+    auto [lo, hi] = RatioBounds(t);
+    return hi <= (1.0 + eps) * lo;
   };
 
-  while (!queue.empty()) {
-    auto [lo, hi] = ratio_bounds();
-    if (ub_d <= 0.0) break;              // no kernel mass anywhere
-    if (hi <= (1.0 + eps) * lo) break;   // certified
-    QueueEntry top = queue.top();
-    queue.pop();
+  const PointSet& pts = tree_->points();
+  push(node_bounds(tree_->root()));
+  while (!heap.empty()) {
+    if (stops(Compose(exact_n, exact_d, queued))) {
+      queued = SumQueued(heap);
+      if (stops(Compose(exact_n, exact_d, queued))) break;
+    }
+    std::pop_heap(heap.begin(), heap.end(), PriorityLess());
+    const QueueEntry top = heap.back();
+    heap.pop_back();
+    queued.Subtract(top);
     ++result.iterations;
 
-    lb_n -= top.numer.lower;
-    ub_n -= top.numer.upper;
-    lb_d -= top.denom.lower;
-    ub_d -= top.denom.upper;
     const KdTree::Node& node = tree_->node(top.node);
     if (node.IsLeaf()) {
-      double exact_n = 0.0, exact_d = 0.0;
       for (uint32_t i = node.begin; i < node.end; ++i) {
         double k = params_.EvalSquaredDistance(SquaredDistance(q, pts[i]));
-        exact_n += y[i] * k;
+        exact_n += y_[i] * k;
         exact_d += k;
       }
       result.points_scanned += node.count();
-      lb_n += exact_n;
-      ub_n += exact_n;
-      lb_d += exact_d;
-      ub_d += exact_d;
     } else {
-      for (int32_t child : {node.left, node.right}) {
-        QueueEntry e = node_bounds(child);
-        lb_n += e.numer.lower;
-        ub_n += e.numer.upper;
-        lb_d += e.denom.lower;
-        ub_d += e.denom.upper;
-        queue.push(e);
-      }
+      push(node_bounds(node.left));
+      push(node_bounds(node.right));
     }
   }
 
-  if (ub_n < lb_n) ub_n = lb_n;
-  if (ub_d < lb_d) ub_d = lb_d;
-  auto [lo, hi] = ratio_bounds();
-  result.defined = ub_d > 0.0;
+  Totals t = Compose(exact_n, exact_d, SumQueued(heap));
+  if (t.ub_n < t.lb_n) t.ub_n = t.lb_n;
+  if (t.ub_d < t.lb_d) t.ub_d = t.lb_d;
+  auto [lo, hi] = RatioBounds(t);
+  result.defined = t.ub_d > 0.0;
   result.lower = lo;
   result.upper = hi;
   result.estimate = result.defined ? 0.5 * (lo + hi) : 0.0;
   result.converged =
-      !result.defined || hi <= (1.0 + eps) * lo || queue.empty();
+      !result.defined || hi <= (1.0 + eps) * lo || heap.empty();
   return result;
 }
 

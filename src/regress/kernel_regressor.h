@@ -3,11 +3,13 @@
 //
 // The estimator at a query q is the ratio of two kernel aggregations,
 //   R(q) = N(q) / D(q),  N(q) = Σ y_i K(q, p_i),  D(q) = Σ K(q, p_i),
-// with non-negative targets y_i. One best-first refinement maintains
-// certified intervals on N and D simultaneously (numerator bounds from
-// regress/weighted_bounds.h, denominator bounds from bounds/node_bounds.h);
-// the ratio interval [lbN/ubD, ubN/lbD] tightens until the requested
-// relative error is certified — QUAD's tighter bounds certify earlier.
+// with non-negative targets y_i. N is a kernel aggregation over the same
+// points weighted by y, so each kd-tree node carries a second, y-weighted
+// NodeStats record (mass Σ y_i) and one NodeBounds object bounds both: D on
+// the tree's own records, N on the weighted ones. One best-first refinement
+// maintains certified intervals on N and D simultaneously; the ratio
+// interval [lbN/ubD, ubN/lbD] tightens until the requested relative error
+// is certified — QUAD's tighter bounds certify earlier.
 #ifndef QUADKDV_REGRESS_KERNEL_REGRESSOR_H_
 #define QUADKDV_REGRESS_KERNEL_REGRESSOR_H_
 
@@ -18,7 +20,6 @@
 #include "bounds/node_bounds.h"
 #include "index/kdtree.h"
 #include "kernel/kernel.h"
-#include "regress/weighted_stats.h"
 
 namespace kdv {
 
@@ -61,9 +62,10 @@ class KernelRegressor {
  private:
   Options options_;
   std::unique_ptr<KdTree> tree_;
-  std::unique_ptr<WeightedAugmentation> weights_;
+  std::vector<double> y_;               // targets in tree order
+  std::vector<NodeStats> numer_stats_;  // per node, points weighted by y
   KernelParams params_;
-  std::unique_ptr<NodeBounds> denom_bounds_;  // null for Method::kExact
+  std::unique_ptr<NodeBounds> bounds_;  // null for Method::kExact
 };
 
 }  // namespace kdv

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,49 @@ TEST_P(BoundCorrectnessTest, BoundsBracketExactAggregate) {
     Point q{rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
     BoundPair b = bounds->Evaluate(cloud.stats, q);
     double exact = ExactAggregate(params, cloud.points, q);
+
+    EXPECT_LE(b.lower, exact + Tol(exact))
+        << bounds->name() << "/" << KernelTypeName(combo.kernel)
+        << " trial " << trial;
+    EXPECT_GE(b.upper, exact - Tol(exact))
+        << bounds->name() << "/" << KernelTypeName(combo.kernel)
+        << " trial " << trial;
+    EXPECT_GE(b.lower, -Tol(exact));
+    EXPECT_LE(b.lower, b.upper + Tol(exact));
+  }
+}
+
+// The same bound objects over a weighted record (NodeStats mass = sum of the
+// weights) bracket the weighted aggregate sum_i y_i w K(q, p_i): the
+// Nadaraya–Watson numerator runs on exactly this.
+TEST_P(BoundCorrectnessTest, BoundsBracketWeightedAggregate) {
+  const Combo combo = GetParam();
+  Rng rng(static_cast<uint64_t>(combo.kernel) * 41 +
+          static_cast<uint64_t>(combo.method) + 7);
+
+  for (int trial = 0; trial < 300; ++trial) {
+    Cloud cloud = RandomCloud(&rng, 2 + static_cast<int>(rng.UniformInt(40)),
+                              rng.Uniform(0.01, 0.8));
+    std::vector<double> y(cloud.points.size());
+    for (double& v : y) v = rng.Uniform(0.0, 3.0);
+    const NodeStats weighted =
+        NodeStats::Compute(cloud.points.data(), cloud.points.size(), y.data());
+    KernelParams params;
+    params.type = combo.kernel;
+    params.gamma = rng.Uniform(0.2, 8.0);
+    params.weight = rng.Uniform(0.1, 2.0);
+
+    std::unique_ptr<NodeBounds> bounds = MakeNodeBounds(combo.method, params);
+    ASSERT_NE(bounds, nullptr);
+
+    Point q{rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
+    BoundPair b = bounds->Evaluate(weighted, q);
+    double exact = 0.0;
+    for (size_t i = 0; i < cloud.points.size(); ++i) {
+      exact += y[i] * params.EvalSquaredDistance(
+                          SquaredDistance(q, cloud.points[i]));
+    }
+    exact *= params.weight;
 
     EXPECT_LE(b.lower, exact + Tol(exact))
         << bounds->name() << "/" << KernelTypeName(combo.kernel)

@@ -145,6 +145,43 @@ TEST_P(NodeStatsDimTest, RecordMatchesBruteForceExactly) {
   for (int i = 0; i < d * d; ++i) EXPECT_EQ(s.outer_product_sum()[i], c[i]);
 }
 
+std::vector<double> RandomWeights(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> w(n);
+  for (double& v : w) v = rng.Uniform(0.0, 5.0);
+  return w;
+}
+
+// Weighted S1/S2 identities: sum w_i dist^2 and sum w_i dist^4 via the
+// weighted record match brute force, and the mass is the weight sum
+// (accumulated in the same order, so exactly).
+TEST_P(NodeStatsDimTest, WeightedIdentitiesHold) {
+  const int d = GetParam();
+  PointSet pts = RandomPoints(60, d, 700 + d);
+  std::vector<double> w = RandomWeights(pts.size(), 800 + d);
+  NodeStats s = NodeStats::Compute(pts.data(), pts.size(), w.data());
+  ASSERT_EQ(s.count(), pts.size());
+  double mass = 0.0;
+  for (double v : w) mass += v;
+  EXPECT_EQ(s.mass(), mass);
+
+  Rng rng(900 + d);
+  for (int i = 0; i < 20; ++i) {
+    Point q(d);
+    for (int j = 0; j < d; ++j) q[j] = rng.Uniform(-3, 3);
+    double brute_s1 = 0.0, brute_s2 = 0.0;
+    for (size_t k = 0; k < pts.size(); ++k) {
+      const double d2 = SquaredDistance(q, pts[k]);
+      brute_s1 += w[k] * d2;
+      brute_s2 += w[k] * d2 * d2;
+    }
+    EXPECT_NEAR(s.SumSquaredDistances(q), brute_s1,
+                1e-9 * std::max(1.0, brute_s1));
+    EXPECT_NEAR(s.SumQuarticDistances(q), brute_s2,
+                1e-9 * std::max(1.0, brute_s2));
+  }
+}
+
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 // The record's distance helpers are the Rect arithmetic on mbr(), bit for
@@ -184,6 +221,7 @@ bool PointsInto(const void* p, const NodeStats& owner) {
 void ExpectSameRecord(const NodeStats& got, const NodeStats& want) {
   ASSERT_EQ(got.count(), want.count());
   ASSERT_EQ(got.dim(), want.dim());
+  EXPECT_EQ(Bits(got.mass()), Bits(want.mass()));
   const int d = want.dim();
   EXPECT_EQ(Bits(got.sum_sq_norm()), Bits(want.sum_sq_norm()));
   EXPECT_EQ(Bits(got.sum_quartic_norm()), Bits(want.sum_quartic_norm()));
@@ -196,6 +234,28 @@ void ExpectSameRecord(const NodeStats& got, const NodeStats& want) {
   for (int i = 0; i < d * d; ++i) {
     EXPECT_EQ(Bits(got.outer_product_sum()[i]),
               Bits(want.outer_product_sum()[i]));
+  }
+}
+
+// Unit weights give the unweighted record bit for bit, inline (d <= 2) and
+// spilled alike: multiplying by 1.0 is exact.
+TEST_P(NodeStatsDimTest, UnitWeightsAreBitIdentical) {
+  const int d = GetParam();
+  PointSet pts = RandomPoints(41, d, 1000 + d);
+  const std::vector<double> ones(pts.size(), 1.0);
+  const NodeStats weighted =
+      NodeStats::Compute(pts.data(), pts.size(), ones.data());
+  const NodeStats plain = NodeStats::Compute(pts.data(), pts.size());
+  EXPECT_EQ(plain.mass(), static_cast<double>(pts.size()));
+  ExpectSameRecord(weighted, plain);
+  Rng rng(1100 + d);
+  for (int i = 0; i < 10; ++i) {
+    Point q(d);
+    for (int j = 0; j < d; ++j) q[j] = rng.Uniform(-3, 3);
+    EXPECT_EQ(Bits(weighted.SumSquaredDistances(q)),
+              Bits(plain.SumSquaredDistances(q)));
+    EXPECT_EQ(Bits(weighted.SumQuarticDistances(q)),
+              Bits(plain.SumQuarticDistances(q)));
   }
 }
 
@@ -263,6 +323,30 @@ TEST(NodeStatsTest, SinglePoint) {
   double d2 = SquaredDistance(q, pts[0]);
   EXPECT_NEAR(s.SumSquaredDistances(q), d2, 1e-10);
   EXPECT_NEAR(s.SumQuarticDistances(q), d2 * d2, 1e-8);
+}
+
+// Zero weights contribute no mass and no moments, but the MBR still spans
+// every point (the bounds' distance interval is the node's, not the
+// weighted subset's).
+TEST(NodeStatsTest, ZeroWeightsKeepTheMbr) {
+  PointSet pts{Point{0.0, 0.0}, Point{1.0, 2.0}, Point{-1.0, 3.0}};
+  const std::vector<double> w{0.0, 2.0, 0.0};
+  NodeStats s = NodeStats::Compute(pts.data(), pts.size(), w.data());
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.mass(), 2.0);
+  EXPECT_EQ(s.sum()[0], 2.0);
+  EXPECT_EQ(s.sum()[1], 4.0);
+  EXPECT_EQ(s.sum_sq_norm(), 10.0);
+  EXPECT_EQ(s.mbr_lo()[0], -1.0);
+  EXPECT_EQ(s.mbr_hi()[1], 3.0);
+  EXPECT_EQ(s.SumSquaredDistances(Point{1.0, 2.0}), 0.0);
+
+  const std::vector<double> zeros(pts.size(), 0.0);
+  NodeStats empty = NodeStats::Compute(pts.data(), pts.size(), zeros.data());
+  EXPECT_EQ(empty.mass(), 0.0);
+  EXPECT_EQ(empty.sum_quartic_norm(), 0.0);
+  EXPECT_EQ(empty.mbr_lo()[0], -1.0);
+  EXPECT_EQ(empty.mbr_hi()[0], 1.0);
 }
 
 TEST(NodeStatsTest, QueryAtCentroidNonNegative) {

@@ -1,152 +1,15 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/datasets.h"
 #include "regress/kernel_regressor.h"
-#include "regress/weighted_bounds.h"
-#include "regress/weighted_stats.h"
 #include "util/random.h"
 
 namespace kdv {
 namespace {
-
-// ---------------------------------------------------------------------------
-// WeightedNodeStats
-// ---------------------------------------------------------------------------
-
-TEST(WeightedStatsTest, MatchesBruteForceWeightedSums) {
-  Rng rng(1);
-  PointSet pts;
-  std::vector<double> y;
-  for (int i = 0; i < 80; ++i) {
-    pts.push_back(Point{rng.Uniform(-2, 2), rng.Uniform(-2, 2)});
-    y.push_back(rng.Uniform(0.0, 5.0));
-  }
-  WeightedNodeStats s = WeightedNodeStats::Compute(pts.data(), y.data(),
-                                                   pts.size());
-  double y_sum = 0.0;
-  for (double v : y) y_sum += v;
-  EXPECT_NEAR(s.weight_sum(), y_sum, 1e-10);
-
-  for (int trial = 0; trial < 30; ++trial) {
-    Point q{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
-    double brute_s1 = 0.0, brute_s2 = 0.0;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      double d2 = SquaredDistance(q, pts[i]);
-      brute_s1 += y[i] * d2;
-      brute_s2 += y[i] * d2 * d2;
-    }
-    EXPECT_NEAR(s.WeightedSumSquaredDistances(q), brute_s1,
-                1e-9 * std::max(1.0, brute_s1));
-    EXPECT_NEAR(s.WeightedSumQuarticDistances(q), brute_s2,
-                1e-9 * std::max(1.0, brute_s2));
-  }
-}
-
-TEST(WeightedStatsTest, UnitWeightsReduceToNodeStats) {
-  Rng rng(2);
-  PointSet pts;
-  std::vector<double> ones;
-  for (int i = 0; i < 50; ++i) {
-    pts.push_back(Point{rng.NextDouble(), rng.NextDouble()});
-    ones.push_back(1.0);
-  }
-  WeightedNodeStats ws =
-      WeightedNodeStats::Compute(pts.data(), ones.data(), pts.size());
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
-  Point q{0.5, 0.5};
-  EXPECT_NEAR(ws.weight_sum(), static_cast<double>(s.count()), 1e-12);
-  EXPECT_NEAR(ws.WeightedSumSquaredDistances(q), s.SumSquaredDistances(q),
-              1e-9);
-  EXPECT_NEAR(ws.WeightedSumQuarticDistances(q), s.SumQuarticDistances(q),
-              1e-9);
-}
-
-TEST(WeightedAugmentationTest, AppliesTreePermutation) {
-  Rng rng(3);
-  PointSet pts;
-  std::vector<double> y;
-  for (int i = 0; i < 200; ++i) {
-    pts.push_back(Point{rng.NextDouble(), rng.NextDouble()});
-    y.push_back(static_cast<double>(i));  // target = original index
-  }
-  KdTree tree{PointSet(pts)};
-  WeightedAugmentation aug(tree, y);
-  // y in tree order must track the permuted points.
-  for (size_t i = 0; i < tree.num_points(); ++i) {
-    uint32_t orig = tree.original_index(i);
-    EXPECT_EQ(tree.points()[i], pts[orig]);
-    EXPECT_DOUBLE_EQ(aug.y_tree_order()[i], y[orig]);
-  }
-  // Root weighted sum = Σ y.
-  double total = 0.0;
-  for (double v : y) total += v;
-  EXPECT_NEAR(aug.node(tree.root()).weight_sum(), total, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Weighted bounds: correctness for every method/kernel combination.
-// ---------------------------------------------------------------------------
-
-TEST(WeightedBoundsTest, BracketWeightedAggregate) {
-  Rng rng(4);
-  for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular,
-                            KernelType::kCosine, KernelType::kExponential}) {
-    for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
-      for (int trial = 0; trial < 150; ++trial) {
-        PointSet pts;
-        std::vector<double> y;
-        int n = 2 + static_cast<int>(rng.UniformInt(30));
-        double cx = rng.Uniform(-1, 1), cy = rng.Uniform(-1, 1);
-        double spread = rng.Uniform(0.01, 0.6);
-        for (int i = 0; i < n; ++i) {
-          pts.push_back(Point{cx + rng.Uniform(-spread, spread),
-                              cy + rng.Uniform(-spread, spread)});
-          y.push_back(rng.Uniform(0.0, 3.0));
-        }
-        NodeStats stats = NodeStats::Compute(pts.data(), pts.size());
-        WeightedNodeStats wstats =
-            WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
-
-        KernelParams params;
-        params.type = kernel;
-        params.gamma = rng.Uniform(0.3, 6.0);
-        params.weight = 1.0;
-
-        Point q{rng.Uniform(-2.5, 2.5), rng.Uniform(-2.5, 2.5)};
-        BoundPair b = EvaluateWeightedBounds(method, params, stats,
-                                             wstats, q);
-        double exact = 0.0;
-        for (size_t i = 0; i < pts.size(); ++i) {
-          exact +=
-              y[i] * params.EvalSquaredDistance(SquaredDistance(q, pts[i]));
-        }
-        double tol = 1e-9 * std::max(1.0, exact);
-        EXPECT_LE(b.lower, exact + tol)
-            << KernelTypeName(kernel) << "/" << MethodName(method);
-        EXPECT_GE(b.upper, exact - tol)
-            << KernelTypeName(kernel) << "/" << MethodName(method);
-        EXPECT_GE(b.lower, -tol);
-      }
-    }
-  }
-}
-
-TEST(WeightedBoundsTest, ZeroWeightNodeIsExactZero) {
-  PointSet pts{Point{0.0, 0.0}, Point{1.0, 1.0}};
-  std::vector<double> y{0.0, 0.0};
-  NodeStats stats = NodeStats::Compute(pts.data(), pts.size());
-  WeightedNodeStats wstats =
-      WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
-  KernelParams params;
-  params.type = KernelType::kGaussian;
-  BoundPair b =
-      EvaluateWeightedBounds(Method::kQuad, params, stats, wstats,
-                             Point{0.5, 0.5});
-  EXPECT_DOUBLE_EQ(b.lower, 0.0);
-  EXPECT_DOUBLE_EQ(b.upper, 0.0);
-}
 
 // ---------------------------------------------------------------------------
 // KernelRegressor end to end
@@ -157,16 +20,55 @@ struct RegressionData {
   std::vector<double> ys;
 };
 
-// Smooth non-negative target y = 2 + sin(3x) * cos(2y') over clustered xs.
+double SmoothTarget(const Point& p) {
+  return 2.0 + std::sin(3.0 * p[0]) * std::cos(2.0 * p[1]);
+}
+
+// Smooth non-negative target y = 2 + sin(3x) * cos(2y') over uniform xs.
 RegressionData MakeData(int n, uint64_t seed) {
   Rng rng(seed);
   RegressionData data;
   for (int i = 0; i < n; ++i) {
     Point p{rng.NextDouble(), rng.NextDouble()};
     data.xs.push_back(p);
-    data.ys.push_back(2.0 + std::sin(3.0 * p[0]) * std::cos(2.0 * p[1]));
+    data.ys.push_back(SmoothTarget(p));
   }
   return data;
+}
+
+// Brute-force Nadaraya–Watson over the caller's data in its input order:
+// independent of the tree, its permutation and the regressor's copy of y.
+double OracleEstimate(const RegressionData& data, const KernelParams& params,
+                      const Point& q, bool* defined) {
+  double numer = 0.0, denom = 0.0;
+  for (size_t i = 0; i < data.xs.size(); ++i) {
+    double k = params.EvalSquaredDistance(SquaredDistance(q, data.xs[i]));
+    numer += data.ys[i] * k;
+    denom += k;
+  }
+  *defined = denom > 0.0;
+  return *defined ? numer / denom : 0.0;
+}
+
+// Every estimate of `reg` on `queries` is defined exactly where the oracle
+// is, and certified to (1 ± eps) of it. Returns the number of failures.
+int CountCertificateFailures(const KernelRegressor& reg,
+                             const RegressionData& data,
+                             const PointSet& queries, double eps) {
+  int failures = 0;
+  for (const Point& q : queries) {
+    bool defined = false;
+    const double exact = OracleEstimate(data, reg.params(), q, &defined);
+    const KernelRegressor::Result r = reg.Estimate(q, eps);
+    bool ok = r.defined == defined && std::isfinite(r.estimate);
+    if (ok && defined) {
+      ok = r.converged &&
+           std::abs(r.estimate - exact) <= eps * exact * (1.0 + 1e-9) &&
+           r.lower <= exact * (1.0 + 1e-9) && r.upper >= exact * (1.0 - 1e-9);
+    }
+    if (!ok) ++failures;
+  }
+  return failures;
 }
 
 TEST(KernelRegressorTest, MatchesExactWithinEps) {
@@ -234,7 +136,7 @@ TEST(KernelRegressorTest, RecoversSmoothFunction) {
   Rng rng(11);
   for (int i = 0; i < 10; ++i) {
     Point q{rng.Uniform(0.2, 0.8), rng.Uniform(0.2, 0.8)};
-    double truth = 2.0 + std::sin(3.0 * q[0]) * std::cos(2.0 * q[1]);
+    double truth = SmoothTarget(q);
     EXPECT_NEAR(reg.Estimate(q, 0.01).estimate, truth, 0.2);
   }
 }
@@ -284,6 +186,131 @@ TEST(KernelRegressorTest, ConstantTargetsGiveConstantEstimate) {
   for (int i = 0; i < 10; ++i) {
     Point q{rng.NextDouble(), rng.NextDouble()};
     EXPECT_NEAR(reg.Estimate(q, 0.01).estimate, 3.5, 3.5 * 0.011);
+  }
+}
+
+// The targets are the input indices, so a target attached to the wrong
+// point after the tree's permutation moves the estimate far outside eps.
+TEST(KernelRegressorTest, MatchesInputOrderOracle) {
+  RegressionData data = MakeData(2000, 16);
+  for (size_t i = 0; i < data.ys.size(); ++i) {
+    data.ys[i] = static_cast<double>(i);
+  }
+  Rng rng(17);
+  PointSet queries;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(Point{rng.NextDouble(), rng.NextDouble()});
+  }
+  for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
+    KernelRegressor::Options options;
+    options.method = method;
+    options.leaf_size = 8;
+    KernelRegressor reg(PointSet(data.xs), std::vector<double>(data.ys),
+                        options);
+    EXPECT_EQ(CountCertificateFailures(reg, data, queries, 0.01), 0)
+        << MethodName(method);
+  }
+}
+
+// A tight bandwidth over a viewport reaching well past the data: node
+// upper bounds there sit many orders of magnitude above N and D, where
+// add-then-subtract running totals used to break the certificate (and the
+// defined flag).
+TEST(KernelRegressorTest, FarFieldEstimatesKeepTheirCertificate) {
+  MixtureSpec spec;
+  spec.n = 1500;
+  spec.num_clusters = 4;
+  spec.seed = 21;
+  RegressionData data;
+  data.xs = GenerateMixture(spec);
+  Rect box(2);
+  for (const Point& p : data.xs) {
+    box.Expand(p);
+    data.ys.push_back(SmoothTarget(p));
+  }
+  const int kCols = 48, kRows = 36;
+  const double pad_x = 0.3 * (box.hi(0) - box.lo(0));
+  const double pad_y = 0.3 * (box.hi(1) - box.lo(1));
+  const double x0 = box.lo(0) - pad_x, y0 = box.lo(1) - pad_y;
+  const double w = box.hi(0) - box.lo(0) + 2.0 * pad_x;
+  const double h = box.hi(1) - box.lo(1) + 2.0 * pad_y;
+  PointSet queries;
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kCols; ++c) {
+      queries.push_back(Point{x0 + (c + 0.5) * w / kCols,
+                              y0 + (r + 0.5) * h / kRows});
+    }
+  }
+  for (double gamma : {1000.0, 5000.0}) {
+    for (Method method : {Method::kKarl, Method::kQuad}) {
+      KernelRegressor::Options options;
+      options.method = method;
+      options.gamma_override = gamma;
+      KernelRegressor reg(PointSet(data.xs), std::vector<double>(data.ys),
+                          options);
+      EXPECT_EQ(CountCertificateFailures(reg, data, queries, 0.01), 0)
+          << MethodName(method) << " gamma " << gamma;
+    }
+  }
+}
+
+TEST(KernelRegressorTest, AllZeroTargetsGiveExactZero) {
+  RegressionData data = MakeData(1000, 18);
+  std::fill(data.ys.begin(), data.ys.end(), 0.0);
+  for (KernelType kernel :
+       {KernelType::kGaussian, KernelType::kTriangular, KernelType::kCosine,
+        KernelType::kExponential, KernelType::kEpanechnikov,
+        KernelType::kQuartic, KernelType::kUniform}) {
+    for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
+      KernelRegressor::Options options;
+      options.kernel = kernel;
+      options.method = method;
+      KernelRegressor reg(PointSet(data.xs), std::vector<double>(data.ys),
+                          options);
+      Rng rng(19);
+      for (int i = 0; i < 10; ++i) {
+        Point q{rng.Uniform(-0.5, 1.5), rng.Uniform(-0.5, 1.5)};
+        KernelRegressor::Result r = reg.Estimate(q, 0.01);
+        EXPECT_EQ(r.estimate, 0.0) << KernelTypeName(kernel) << "/"
+                                   << MethodName(method);
+        EXPECT_EQ(r.lower, 0.0);
+        EXPECT_EQ(r.upper, 0.0);
+        EXPECT_TRUE(r.converged);
+        if (options.method == Method::kKarl &&
+            kernel != KernelType::kGaussian) {
+          continue;  // no KARL bounds: the exact scan answers
+        }
+        EXPECT_EQ(r.iterations, 0u) << KernelTypeName(kernel) << "/"
+                                    << MethodName(method);
+      }
+    }
+  }
+}
+
+// Targets that vanish on half the domain: whole subtrees have zero mass in
+// the numerator, and the estimate must stay finite and certified.
+TEST(KernelRegressorTest, HalfZeroTargetsStayWithinEps) {
+  RegressionData data = MakeData(3000, 20);
+  for (size_t i = 0; i < data.xs.size(); ++i) {
+    if (data.xs[i][0] < 0.5) data.ys[i] = 0.0;
+  }
+  Rng rng(21);
+  PointSet queries;
+  for (int i = 0; i < 30; ++i) {
+    queries.push_back(Point{rng.NextDouble(), rng.NextDouble()});
+  }
+  for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular,
+                            KernelType::kEpanechnikov}) {
+    for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
+      if (method == Method::kKarl && kernel != KernelType::kGaussian) continue;
+      KernelRegressor::Options options;
+      options.kernel = kernel;
+      options.method = method;
+      KernelRegressor reg(PointSet(data.xs), std::vector<double>(data.ys),
+                          options);
+      EXPECT_EQ(CountCertificateFailures(reg, data, queries, 0.01), 0)
+          << KernelTypeName(kernel) << "/" << MethodName(method);
+    }
   }
 }
 
